@@ -7,8 +7,9 @@
 //! `--scale N` divides the paper's cardinalities by `N` (default 100) so a
 //! full run finishes on a laptop. Absolute times differ from the paper (its
 //! testbed was a 12-core Xeon with MKL); the *shapes* — who wins, by what
-//! factor, where the crossovers are — are the reproduction target and are
-//! recorded in EXPERIMENTS.md.
+//! factor, where the crossovers are — are the reproduction target; each
+//! figure prints its table to standard output, and the engine benches also
+//! write their `BENCH_*.json` records.
 //!
 //! `--check` turns the engine benches (`pipeline`, `joinorder`, `sort`)
 //! into a regression gate: every emitted speedup is compared against its

@@ -12,8 +12,8 @@ use crate::error::RmaError;
 use crate::kernels::{eval_binary, eval_unary, KernelOut};
 use crate::shape::RmaOp;
 use crate::split::{
-    alignment_ranks, build_relation, column_cast, schema_cast, split, unary_sort_mode, SortMode,
-    Split,
+    alignment_ranks, build_relation, column_cast, identical_keys, schema_cast, split,
+    unary_sort_mode, SortMode, Split,
 };
 use rma_relation::{Attribute, Relation, Schema};
 use rma_storage::{Column, ColumnData, DataType};
@@ -140,20 +140,30 @@ impl RmaContext {
                     right: s.len(),
                 });
             }
-            if optimized && r_sorted && s_sorted {
-                // both physically sorted: ranks align positionally for free
+            let identical = optimized && identical_keys(r, r_order, s, s_order);
+            if identical || (optimized && r_sorted && s_sorted) {
+                // ranks already agree row by row (identical order keys, or
+                // both operands physically sorted): align positionally; an
+                // identical s shares r's key verdict
                 let rs = split(self, r, r_order, SortMode::Skip)?;
-                let ss = split(self, s, s_order, SortMode::Skip)?;
+                let s_mode = if identical {
+                    SortMode::SkipValidated
+                } else {
+                    SortMode::Skip
+                };
+                let ss = split(self, s, s_order, s_mode)?;
                 (rs, ss)
             } else if optimized {
-                // relative sorting: r stays physical, s is aligned to it
-                let ranks = if r_sorted {
-                    (0..r.len()).collect()
+                // relative sorting: r stays physical, s is aligned to it;
+                // the pass that ranks r also validates its order schema
+                let (ranks, r_mode) = if r_sorted {
+                    (None, SortMode::Skip)
                 } else {
                     stats.sorts += 1;
-                    alignment_ranks(r, r_order)?
+                    let ranks = alignment_ranks(self, r, r_order)?;
+                    (ranks, SortMode::SkipValidated)
                 };
-                let rs = split(self, r, r_order, SortMode::Skip)?;
+                let rs = split(self, r, r_order, r_mode)?;
                 stats.sorts += 1;
                 let ss = split(self, s, s_order, SortMode::AlignTo { ranks })?;
                 (rs, ss)

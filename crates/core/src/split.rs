@@ -7,12 +7,19 @@
 //! gathered into `f64` vectors — the matrix constructor `µ`. The relation
 //! constructor `γ` reassembles row-context columns and base-result columns
 //! into the result relation.
+//!
+//! Ordering and key validation are one pass over the order columns
+//! ([`rma_storage::key_order`]): a split that sorts takes its key verdict
+//! from the sorted keys, and one that keeps physical order gets it from a
+//! scatter over the normalized keys ([`rma_storage::is_key`]).
 
 use crate::context::{RmaContext, SortPolicy};
 use crate::error::RmaError;
-use rma_relation::algebra::is_key_hash;
 use rma_relation::{Attribute, Relation, Schema};
-use rma_storage::{invert_permutation, is_identity_permutation, Column, ColumnData, StorageError};
+use rma_storage::{
+    invert_permutation, is_identity_permutation, is_key, key_order, same_keys, Column, ColumnData,
+    StorageError,
+};
 
 /// The split of one argument relation: contextual information plus the
 /// application part as `f64` columns, both in operation order.
@@ -41,24 +48,24 @@ pub enum SortMode {
     /// Keep physical order (valid when the operation's result does not
     /// depend on row order).
     Skip,
+    /// Keep physical order without checking the order schema again: the
+    /// caller already has its key verdict, from the [`alignment_ranks`]
+    /// pass over this relation or from an operand with identical order
+    /// keys.
+    SkipValidated,
     /// Align to another relation's row order: row `i` of this split matches
-    /// row `i` of the relation that produced `align_ranks` (the paper's
+    /// row `i` of the relation that produced `ranks` (the paper's
     /// "relative sorting" for element-wise operations).
     AlignTo {
         /// `ranks[i]` = sorted position of the *other* relation's physical
-        /// row `i` under its own order schema.
-        ranks: Vec<usize>,
+        /// row `i` under its own order schema; `None` when that relation
+        /// is already in order.
+        ranks: Option<Vec<usize>>,
     },
 }
 
-/// Validate the order schema and split the relation (Algorithm 1 lines 1–7).
-pub fn split(
-    ctx: &RmaContext,
-    r: &Relation,
-    order: &[&str],
-    mode: SortMode,
-) -> Result<Split, RmaError> {
-    // resolve schemas
+/// Resolve and check the order and application schemas of `r`.
+fn schemas(r: &Relation, order: &[&str]) -> Result<(Schema, Schema), RmaError> {
     let order_schema = r.schema().subset(order)?;
     let app_schema = r.schema().complement(order);
     if app_schema.is_empty() {
@@ -71,30 +78,69 @@ pub fn split(
             });
         }
     }
-    // key validation: hash-based so that sort-avoiding operations do not
-    // pay a sort here
-    if ctx.options.validate_keys {
-        let cols = r.columns_of(order)?;
-        if order.is_empty() {
-            if r.len() > 1 {
-                return Err(RmaError::OrderSchemaNotKey(vec![]));
-            }
-        } else if !is_key_hash(&cols) {
-            return Err(RmaError::OrderSchemaNotKey(
-                order.iter().map(|s| s.to_string()).collect(),
-            ));
-        }
+    Ok((order_schema, app_schema))
+}
+
+/// Fail with `OrderSchemaNotKey` unless key validation is off or the
+/// verdict holds.
+fn require_key(ctx: &RmaContext, order: &[&str], is_key: bool) -> Result<(), RmaError> {
+    if !ctx.options.validate_keys || is_key {
+        return Ok(());
     }
+    Err(RmaError::OrderSchemaNotKey(
+        order.iter().map(|s| s.to_string()).collect(),
+    ))
+}
+
+/// The sort permutation of `r` by `order` (`None` = already in order),
+/// validating the order schema from the same pass. An empty order schema
+/// keeps physical order and is a key of at most one tuple.
+fn sort_validated(
+    ctx: &RmaContext,
+    r: &Relation,
+    order: &[&str],
+) -> Result<Option<Vec<usize>>, RmaError> {
+    if order.is_empty() {
+        require_key(ctx, order, r.len() <= 1)?;
+        return Ok(None);
+    }
+    let o = key_order(&r.columns_of(order)?);
+    require_key(ctx, order, o.is_key)?;
+    Ok(o.perm)
+}
+
+/// Validate the order schema and split the relation (Algorithm 1 lines 1–7).
+pub fn split(
+    ctx: &RmaContext,
+    r: &Relation,
+    order: &[&str],
+    mode: SortMode,
+) -> Result<Split, RmaError> {
+    let (order_schema, app_schema) = schemas(r, order)?;
     // establish operation order; identity permutations (already-sorted
     // data) skip the gather entirely, like MonetDB's sortedness property
     let perm: Option<Vec<usize>> = match mode {
-        SortMode::Full => Some(r.sort_permutation_by(order)?),
-        SortMode::Skip => None,
+        SortMode::Full => sort_validated(ctx, r, order)?,
+        SortMode::Skip => {
+            if ctx.options.validate_keys {
+                let key = if order.is_empty() {
+                    r.len() <= 1
+                } else {
+                    is_key(&r.columns_of(order)?)
+                };
+                require_key(ctx, order, key)?;
+            }
+            None
+        }
+        SortMode::SkipValidated => None,
         SortMode::AlignTo { ranks } => {
             // this relation sorted by its own keys, then re-ordered so that
             // row i matches the other relation's physical row i
-            let own_sorted = r.sort_permutation_by(order)?;
-            Some(ranks.iter().map(|&rank| own_sorted[rank]).collect())
+            match (sort_validated(ctx, r, order)?, ranks) {
+                (own, None) => own,
+                (None, ranks) => ranks,
+                (Some(own), Some(ranks)) => Some(ranks.iter().map(|&k| own[k]).collect()),
+            }
         }
     };
     let perm = perm.filter(|p| !is_identity_permutation(p));
@@ -139,10 +185,26 @@ pub fn unary_sort_mode(ctx: &RmaContext, op: crate::shape::RmaOp) -> SortMode {
 }
 
 /// For aligned binary operations: ranks of the first relation's physical
-/// rows under its order schema (`ranks[i]` = sorted position of row `i`).
-pub fn alignment_ranks(r: &Relation, order: &[&str]) -> Result<Vec<usize>, RmaError> {
-    let perm = r.sort_permutation_by(order)?;
-    Ok(invert_permutation(&perm))
+/// rows under its order schema (`ranks[i]` = sorted position of row `i`;
+/// `None` when the relation is already in order). The same pass validates
+/// the order schema, so `r` is then split with [`SortMode::SkipValidated`].
+pub fn alignment_ranks(
+    ctx: &RmaContext,
+    r: &Relation,
+    order: &[&str],
+) -> Result<Option<Vec<usize>>, RmaError> {
+    schemas(r, order)?;
+    Ok(sort_validated(ctx, r, order)?.map(|perm| invert_permutation(&perm)))
+}
+
+/// Are the two operands' order keys equal row by row
+/// ([`rma_storage::same_keys`])? Then their ranks agree and an aligned
+/// operation pairs rows positionally, with no sort.
+pub fn identical_keys(r: &Relation, r_order: &[&str], s: &Relation, s_order: &[&str]) -> bool {
+    match (r.columns_of(r_order), s.columns_of(s_order)) {
+        (Ok(a), Ok(b)) => same_keys(&a, &b),
+        _ => false, // the splits report the unknown attribute
+    }
 }
 
 /// Gather one column as `f64` in the given order, widening integers and
@@ -212,7 +274,7 @@ mod tests {
     use super::*;
     use crate::shape::RmaOp;
     use rma_relation::RelationBuilder;
-    use rma_storage::Value;
+    use rma_storage::{DataType, Value};
 
     fn weather() -> Relation {
         RelationBuilder::new()
@@ -254,7 +316,7 @@ mod tests {
             .column("X", vec![60.0f64, 50.0, 80.0, 70.0])
             .build()
             .unwrap();
-        let ranks = alignment_ranks(&r, &["T"]).unwrap();
+        let ranks = alignment_ranks(&ctx, &r, &["T"]).unwrap();
         let s = split(&ctx, &s_rel, &["T2"], SortMode::AlignTo { ranks }).unwrap();
         // r physical order: 5am, 8am, 7am, 6am → aligned X: 50, 80, 70, 60
         assert_eq!(s.app[0], vec![50.0, 80.0, 70.0, 60.0]);
@@ -270,6 +332,19 @@ mod tests {
         );
     }
 
+    /// `k` with one duplicate (dense range: the scatter path) and `x`.
+    fn dup_keys() -> Relation {
+        RelationBuilder::new()
+            .column("k", vec![3i64, 1, 2, 1])
+            .column("x", vec![1.0f64, 2.0, 3.0, 4.0])
+            .build()
+            .unwrap()
+    }
+
+    fn not_key<T: std::fmt::Debug>(res: Result<T, RmaError>) -> bool {
+        matches!(res, Err(RmaError::OrderSchemaNotKey(_)))
+    }
+
     #[test]
     fn key_violation_detected() {
         let ctx = RmaContext::default();
@@ -281,6 +356,135 @@ mod tests {
         assert!(matches!(
             split(&ctx, &r, &["k"], SortMode::Full),
             Err(RmaError::OrderSchemaNotKey(_))
+        ));
+    }
+
+    #[test]
+    fn key_violation_detected_on_every_mode() {
+        let ctx = RmaContext::default();
+        let r = dup_keys();
+        assert!(not_key(split(&ctx, &r, &["k"], SortMode::Full)));
+        assert!(not_key(split(&ctx, &r, &["k"], SortMode::Skip)));
+        assert!(not_key(split(
+            &ctx,
+            &r,
+            &["k"],
+            SortMode::AlignTo { ranks: None }
+        )));
+        let ranks = Some(vec![3, 2, 1, 0]);
+        assert!(not_key(split(
+            &ctx,
+            &r,
+            &["k"],
+            SortMode::AlignTo { ranks }
+        )));
+        assert!(not_key(alignment_ranks(&ctx, &r, &["k"])));
+        // the caller vouches for the verdict: no check here
+        assert!(split(&ctx, &r, &["k"], SortMode::SkipValidated).is_ok());
+    }
+
+    #[test]
+    fn key_violation_detected_on_every_key_shape() {
+        let ctx = RmaContext::default();
+        let wide = |k: Vec<i64>| {
+            RelationBuilder::new()
+                .column("k", k)
+                .column("x", vec![1.0f64, 2.0, 3.0])
+                .build()
+                .unwrap()
+        };
+        // wide range (sorted, not scattered), sorted input, plain strings,
+        // nulls, dictionary codes
+        let spread = wide(vec![i64::MAX, 7, i64::MAX]);
+        let sorted = wide(vec![-5, 9, 9]);
+        let strs = RelationBuilder::new()
+            .column("k", vec!["b", "a", "b"])
+            .column("x", vec![1.0f64, 2.0, 3.0])
+            .build()
+            .unwrap();
+        let nulls = RelationBuilder::new()
+            .column(
+                "k",
+                Column::from_values_typed(
+                    DataType::Int,
+                    &[Value::Null, Value::Int(1), Value::Null],
+                )
+                .unwrap(),
+            )
+            .column("x", vec![1.0f64, 2.0, 3.0])
+            .build()
+            .unwrap();
+        for r in [spread, sorted, strs, nulls] {
+            for mode in [SortMode::Full, SortMode::Skip] {
+                assert!(not_key(split(&ctx, &r, &["k"], mode)), "{r:?}");
+            }
+            assert!(not_key(alignment_ranks(&ctx, &r, &["k"])));
+        }
+        let dict_col = Column::from(vec!["a"; 16])
+            .encode_as(rma_storage::Encoding::Dict)
+            .unwrap();
+        let dict = RelationBuilder::new()
+            .column("k", dict_col)
+            .column("x", vec![1.0f64; 16])
+            .build()
+            .unwrap();
+        assert!(not_key(split(&ctx, &dict, &["k"], SortMode::Skip)));
+        assert!(not_key(split(&ctx, &dict, &["k"], SortMode::Full)));
+    }
+
+    #[test]
+    fn sorted_hints_still_validate_both_operands() {
+        // the plan layer's sortedness hints skip the sorts, not the checks
+        let ctx = RmaContext::default();
+        let dup = RelationBuilder::new()
+            .column("k", vec![1i64, 2, 2, 3])
+            .column("x", vec![1.0f64; 4])
+            .build()
+            .unwrap();
+        let uniq = RelationBuilder::new()
+            .column("j", vec![1i64, 2, 3, 4])
+            .column("y", vec![1.0f64; 4])
+            .build()
+            .unwrap();
+        for op in [RmaOp::Add, RmaOp::Cpd] {
+            let hinted = |r: &Relation, ro, s: &Relation, so| {
+                ctx.binary_hinted(op, r, &[ro], true, s, &[so], true)
+            };
+            assert!(not_key(hinted(&dup, "k", &uniq, "j")));
+            assert!(not_key(hinted(&uniq, "j", &dup, "k")));
+        }
+    }
+
+    #[test]
+    fn identical_keys_by_storage_or_value() {
+        let r = dup_keys();
+        assert!(identical_keys(&r, &["k"], &r, &["k"]));
+        let copy = RelationBuilder::new()
+            .column("j", vec![3i64, 1, 2, 1])
+            .column("y", vec![0.0f64; 4])
+            .build()
+            .unwrap();
+        assert!(identical_keys(&r, &["k"], &copy, &["j"]));
+        let other = RelationBuilder::new()
+            .column("j", vec![3i64, 1, 1, 2])
+            .column("y", vec![0.0f64; 4])
+            .build()
+            .unwrap();
+        assert!(!identical_keys(&r, &["k"], &other, &["j"]));
+        assert!(!identical_keys(&r, &["k"], &copy, &["nope"]));
+        // ±0.0 compare equal as numbers but order apart: not identical
+        let zeros = |a: f64, b: f64| {
+            RelationBuilder::new()
+                .column("z", vec![a, b])
+                .column("y", vec![0.0f64; 2])
+                .build()
+                .unwrap()
+        };
+        assert!(!identical_keys(
+            &zeros(-0.0, 0.0),
+            &["z"],
+            &zeros(0.0, -0.0),
+            &["z"]
         ));
     }
 

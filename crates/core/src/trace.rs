@@ -112,6 +112,13 @@ mod tests {
     use crate::RmaContext;
     use rma_relation::{Expr, RelationBuilder};
 
+    /// A session installs the process-global collector, so the tests that
+    /// start one must not interleave.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn big(n: i64) -> rma_relation::Relation {
         RelationBuilder::new()
             .column("x", (0..n).collect::<Vec<_>>())
@@ -122,6 +129,7 @@ mod tests {
 
     #[test]
     fn a_traced_query_yields_exec_and_pool_spans() {
+        let _s = serial();
         let ctx = RmaContext::default();
         let session = TraceSession::start();
         let out = Frame::scan(big(5000))
@@ -178,6 +186,7 @@ mod tests {
 
     #[test]
     fn empty_session_exports_an_empty_trace() {
+        let _s = serial();
         let session = TraceSession::start();
         let spans = session.finish();
         let json = chrome_trace_json(&spans);

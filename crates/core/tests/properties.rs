@@ -235,3 +235,101 @@ proptest! {
         }
     }
 }
+
+/// Two int-keyed relations over the same `n` rows: key `k` holds a
+/// duplicate, key `j` is unique. `spread` scales the keys: 1 keeps them in
+/// the counting-scatter range (≤ 2·n), a large factor sends them through
+/// the sort path.
+fn dup_and_unique() -> impl Strategy<Value = (Vec<i64>, Vec<i64>)> {
+    (3usize..40, prop_oneof![Just(1i64), Just(1_000_003i64)]).prop_perturb(
+        |(n, spread), mut rng| {
+            let mut ids: Vec<i64> = (0..n as i64).map(|i| (i - 1) * spread).collect();
+            for i in (1..n).rev() {
+                ids.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            let mut dup = ids.clone();
+            let (a, b) = (rng.next_u64() as usize % n, rng.next_u64() as usize % n);
+            dup[a] = dup[(a + 1 + b % (n - 1)) % n];
+            (dup, ids)
+        },
+    )
+}
+
+/// A relation with int order attribute `key` and one float column `x_key`.
+fn keyed(key: &str, keys: &[i64]) -> Relation {
+    let x: Vec<f64> = (0..keys.len()).map(|i| i as f64 + 0.5).collect();
+    RelationBuilder::new()
+        .name("t")
+        .column(key, keys.to_vec())
+        .column(format!("x_{key}"), x)
+        .build()
+        .unwrap()
+}
+
+fn not_key(res: Result<Relation, rma_core::RmaError>) -> bool {
+    matches!(res, Err(rma_core::RmaError::OrderSchemaNotKey(_)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // A duplicate order key fails with OrderSchemaNotKey on every path of
+    // the order-schema pass: sorted (Full), physical (Skip, QQR), aligned
+    // to the other operand, identity-aligned (the same relation twice, or
+    // equal keys in separate storage), whichever operand holds it.
+    #[test]
+    fn duplicate_order_keys_fail_on_every_path((dup, uniq) in dup_and_unique()) {
+        let ctx = RmaContext::default();
+        let always = ctx_with(Backend::Auto, SortPolicy::Always);
+        let d = keyed("k", &dup);
+        let d2 = keyed("j", &dup);
+        let u = keyed("j", &uniq);
+        prop_assert!(not_key(ctx.qqr(&d, &["k"])));
+        prop_assert!(not_key(ctx.inv(&d, &["k"])));
+        prop_assert!(not_key(always.qqr(&d, &["k"])));
+        let binary = [RmaOp::Add, RmaOp::Sub, RmaOp::Emu, RmaOp::Cpd, RmaOp::Sol, RmaOp::Mmu, RmaOp::Opd];
+        for op in binary {
+            for c in [&ctx, &always] {
+                prop_assert!(not_key(c.binary(op, &d, &["k"], &u, &["j"])), "{op:?} dup left");
+                prop_assert!(not_key(c.binary(op, &u, &["j"], &d, &["k"])), "{op:?} dup right");
+                prop_assert!(not_key(c.binary(op, &d, &["k"], &d, &["k"])), "{op:?} same relation");
+                prop_assert!(not_key(c.binary(op, &d, &["k"], &d2, &["j"])), "{op:?} equal keys");
+            }
+        }
+        // validate_keys: false skips the check on every path
+        let lax = RmaContext::new(RmaOptions { validate_keys: false, ..RmaOptions::default() });
+        prop_assert!(lax.qqr(&d, &["k"]).is_ok());
+        for op in [RmaOp::Add, RmaOp::Emu, RmaOp::Cpd] {
+            prop_assert!(lax.binary(op, &d, &["k"], &u, &["j"]).is_ok());
+            prop_assert!(lax.binary(op, &u, &["j"], &d, &["k"]).is_ok());
+            prop_assert!(lax.binary(op, &d, &["k"], &d2, &["j"]).is_ok());
+        }
+        prop_assert!(lax.cpd(&d, &["k"], &d, &["k"]).is_ok());
+    }
+
+    // Operands with identical order keys align positionally without a
+    // sort, and the answer equals the fully sorted one.
+    #[test]
+    fn identity_alignment_matches_sorting(r in arb_relation(7, 2)) {
+        let fast = RmaContext::default();
+        let slow = ctx_with(Backend::Auto, SortPolicy::Always);
+        fast.reset_stats();
+        let a = fast.cpd(&r, &["k"], &r, &["k"]).unwrap();
+        prop_assert_eq!(fast.stats().sorts, 0, "self-aligned CPD must not sort");
+        let b = slow.cpd(&r, &["k"], &r, &["k"]).unwrap();
+        let close = |x: &Relation, y: &Relation| {
+            x.columns().iter().zip(y.columns()).all(|(p, q)| match p.to_f64_vec() {
+                Ok(pv) => pv.iter().zip(&q.to_f64_vec().unwrap()).all(|(s, t)| (s - t).abs() < 1e-8),
+                Err(_) => p == q,
+            })
+        };
+        prop_assert!(close(&a, &b));
+        // equal keys in separate storage: one O(n) compare, no sort
+        let copy = rma_relation::rename(&r.take(&(0..r.len()).collect::<Vec<_>>()), &[("k", "k2"), ("a0", "b0"), ("a1", "b1")]).unwrap();
+        fast.reset_stats();
+        let a = fast.add(&r, &["k"], &copy, &["k2"]).unwrap();
+        prop_assert_eq!(fast.stats().sorts, 0, "identity-aligned ADD must not sort");
+        let b = slow.add(&r, &["k"], &copy, &["k2"]).unwrap();
+        prop_assert!(close(&a.sorted_by(&["k"]).unwrap(), &b.sorted_by(&["k"]).unwrap()));
+    }
+}

@@ -561,7 +561,7 @@ mod tests {
     use super::*;
     use crate::algebra::{aggregate, join_on, natural_join, order_by, AggFunc, AggSpec};
     use crate::relation::RelationBuilder;
-    use crate::spill::live_spill_files;
+    use crate::spill::{live_spill_files, test_lock};
 
     fn orders(n: usize) -> Relation {
         RelationBuilder::new()
@@ -597,6 +597,7 @@ mod tests {
 
     #[test]
     fn grace_join_matches_in_memory() {
+        let _spill = test_lock();
         let baseline = live_spill_files();
         let pool = WorkerPool::new(2);
         let o = orders(5000);
@@ -617,6 +618,7 @@ mod tests {
 
     #[test]
     fn external_sort_matches_serial_exactly() {
+        let _spill = test_lock();
         let baseline = live_spill_files();
         let pool = WorkerPool::new(2);
         let r = orders(7000);
@@ -629,6 +631,7 @@ mod tests {
 
     #[test]
     fn spilling_aggregate_matches_in_memory() {
+        let _spill = test_lock();
         let baseline = live_spill_files();
         let pool = WorkerPool::new(2);
         let r = orders(6000);

@@ -140,36 +140,3 @@ pub(crate) fn rows_eq(a: &[&Column], i: usize, b: &[&Column], j: usize) -> bool 
             _ => false,
         })
 }
-
-/// Hash-based key check: do the columns contain no duplicate row? O(n)
-/// instead of the O(n log n) sort-based [`rma_storage::is_key`] — used by
-/// the RMA layer's sort-avoidance optimisation, where validating the order
-/// schema must not itself cost a sort.
-pub fn is_key_hash(cols: &[&rma_storage::Column]) -> bool {
-    let n = cols.first().map_or(0, |c| c.len());
-    if cols.is_empty() {
-        return n <= 1;
-    }
-    // single-column fast paths avoid per-row key-vector allocation
-    if cols.len() == 1 && !cols[0].has_nulls() {
-        match cols[0].accessor() {
-            ColumnAccessor::Int(v) => {
-                let mut seen = std::collections::HashSet::with_capacity(v.len());
-                return (0..v.len()).all(|i| seen.insert(v.get(i)));
-            }
-            ColumnAccessor::Str(v) => {
-                // a dictionary column is a key iff its codes are — value
-                // tables are deduplicated, so codes biject onto values
-                if let Some(d) = v.dict() {
-                    let mut seen = std::collections::HashSet::with_capacity(d.len());
-                    return d.codes().iter().all(|c| seen.insert(*c));
-                }
-                let mut seen = std::collections::HashSet::with_capacity(v.len());
-                return (0..v.len()).all(|i| seen.insert(v.get(i)));
-            }
-            _ => {}
-        }
-    }
-    let mut seen = std::collections::HashSet::with_capacity(n);
-    (0..n).all(|i| seen.insert(row_key(cols, i)))
-}

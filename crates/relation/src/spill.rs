@@ -62,6 +62,15 @@ pub fn live_spill_files() -> usize {
     LIVE_FILES.load(Ordering::SeqCst)
 }
 
+/// Serializes this crate's unit tests that create spill files or read
+/// [`live_spill_files`]: the counter is process-wide, so a test checking
+/// that it returns to its baseline must not overlap one that spills.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn io_err(e: std::io::Error) -> RelationError {
     RelationError::SpillIo(e.to_string())
 }
@@ -594,6 +603,7 @@ mod tests {
 
     #[test]
     fn roundtrip_whole_and_chunked() {
+        let _spill = test_lock();
         let r = mixed(1000);
         let baseline = live_spill_files();
         {
@@ -619,6 +629,7 @@ mod tests {
 
     #[test]
     fn roundtrip_of_a_view_materializes() {
+        let _spill = test_lock();
         let r = mixed(100);
         let view = r.take(&[5, 3, 99, 0]);
         let mut f = SpillFile::create().unwrap();
@@ -632,6 +643,7 @@ mod tests {
     /// same runs/codes/packing rather than plain vectors.
     #[test]
     fn roundtrip_preserves_encodings_without_sinking() {
+        let _spill = test_lock();
         use rma_storage::Encoding;
         let n = 4096usize;
         let r = RelationBuilder::new()
@@ -684,6 +696,7 @@ mod tests {
 
     #[test]
     fn empty_file_reads_empty_relation() {
+        let _spill = test_lock();
         let r = mixed(4);
         let f = SpillFile::create().unwrap();
         let back = f.read_all(r.schema()).unwrap();

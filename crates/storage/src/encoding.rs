@@ -108,17 +108,26 @@ pub trait RleValue: Copy + PartialEq + std::fmt::Debug {
     fn plain_width() -> usize {
         std::mem::size_of::<Self>()
     }
+    /// May two values share a run? Bit identity, so a run decodes to
+    /// exactly the values it replaced (`NaN` repeats, `-0.0 ≠ 0.0`).
+    fn same(self, other: Self) -> bool;
 }
 
 impl RleValue for i64 {
     fn into_column_data(v: Vec<Self>) -> ColumnData {
         ColumnData::Int(v)
     }
+    fn same(self, other: Self) -> bool {
+        self == other
+    }
 }
 
 impl RleValue for f64 {
     fn into_column_data(v: Vec<Self>) -> ColumnData {
         ColumnData::Float(v)
+    }
+    fn same(self, other: Self) -> bool {
+        self.to_bits() == other.to_bits()
     }
 }
 
@@ -152,7 +161,7 @@ impl<T: RleValue> Rle<T> {
         while i < values.len() {
             let start = i;
             let v = values[i];
-            while i < values.len() && values[i] == v {
+            while i < values.len() && values[i].same(v) {
                 i += 1;
             }
             let run = i - start;
@@ -332,7 +341,7 @@ pub fn rle_add_f64(a: &Rle<f64>, b: &Rle<f64>) -> Rle<f64> {
 
 fn push_run<T: RleValue>(segs: &mut Vec<Seg<T>>, value: T, n: usize) {
     if let Some(Seg::Run { value: v, len }) = segs.last_mut() {
-        if *v == value {
+        if v.same(value) {
             *len += n;
             return;
         }
@@ -687,6 +696,17 @@ mod tests {
         let r = Rle::encode(&v);
         assert_eq!(r.segs().len(), 1);
         assert_eq!(r.to_vec(), v);
+    }
+
+    #[test]
+    fn rle_float_runs_are_bit_identical() {
+        // NaN never equals itself and -0.0 equals 0.0 under `==`; runs
+        // compare bits so both encode (and decode) exactly
+        let v: Vec<f64> = [vec![f64::NAN; 9], vec![-0.0; 9], vec![0.0; 9]].concat();
+        let r = Rle::encode(&v);
+        assert_eq!(r.segs().len(), 3);
+        let bits = |xs: Vec<f64>| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(r.to_vec()), bits(v));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # rma-storage — BAT column store
 //!
 //! The storage kernel of the RMA reproduction: typed columns with optional
-//! null bitmaps, named BATs with virtual OID heads, sort permutations,
-//! gather (`leftfetchjoin`), vectorised float kernels, and per-column
+//! null bitmaps, named BATs with virtual OID heads, order keys (the sort
+//! permutation and the key verdict from one pass), gather
+//! (`leftfetchjoin`), vectorised float kernels, and per-column
 //! compressed encodings (RLE / dictionary / bit-packing) with a typed,
 //! encoding-aware accessor surface so kernels run on the encoded form.
 //!
@@ -19,19 +20,18 @@ pub mod bitmap;
 pub mod column;
 pub mod encoding;
 pub mod error;
+pub mod order;
 pub mod selvec;
 pub mod stats;
 pub mod value;
 
 pub use access::{ColumnAccessor, FloatsRef, IntsRef, StrsRef};
-pub use bat::{
-    cmp_rows, invert_permutation, is_identity_permutation, is_key, is_sorted_by, sort_permutation,
-    Bat,
-};
+pub use bat::{cmp_rows, invert_permutation, is_identity_permutation, Bat};
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData};
 pub use encoding::{decode_sink_events, Dict, Encoding, Packed, Rle, Seg};
 pub use error::StorageError;
+pub use order::{is_key, key_order, same_keys, sort_permutation, KeyOrder};
 pub use selvec::SelVec;
 pub use stats::ColumnStats;
 pub use value::{DataType, Value};
