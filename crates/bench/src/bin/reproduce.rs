@@ -837,14 +837,32 @@ fn sort_bench(scale: usize, gate: &mut Gate) {
     );
 }
 
-/// A relation of `n` rows whose only column is all ones: with it, every
-/// consistent snapshot of the bench table satisfies `SUM(x) == COUNT(*)`,
-/// so the per-query consistency checksum is a single equality.
-fn ones(n: usize) -> rma_relation::Relation {
+/// A relation of `n` rows whose only column holds the distinct values
+/// `2i - n + 2`, which sum to exactly `n`: every consistent snapshot of the
+/// bench table (a base plus any number of such batches) satisfies
+/// `SUM(x) == COUNT(*)`, so the per-query consistency checksum is a single
+/// equality — while ingest finds no runs to fold, so `SUM(x)` scans every
+/// row.
+fn spread(n: usize) -> rma_relation::Relation {
+    let n = n as i64;
     rma_relation::RelationBuilder::new()
-        .column("x", vec![1i64; n])
+        .column("x", (0..n).map(|i| 2 * i - n + 2).collect::<Vec<i64>>())
         .build()
         .expect("relation")
+}
+
+/// Assert ingest kept the bench table's `x` column plain or bit-packed: a
+/// run-length encoded column would let `SUM(x)` fold runs instead of
+/// scanning rows, and the bench would stop measuring its workload.
+fn assert_scans_rows(server: &rma_core::serve::Server) {
+    let snap = server.catalog().snapshot();
+    let enc = snap
+        .get("t")
+        .and_then(|t| t.relation().column("x").ok().map(|c| c.encoding()));
+    assert!(
+        enc.is_some_and(|e| e != rma_storage::Encoding::Rle),
+        "bench column t.x is {enc:?}, not a per-row scan"
+    );
 }
 
 /// `(COUNT(*), SUM(x))` of the bench table through one session, asserting
@@ -879,8 +897,8 @@ fn serve_count_sum(s: &rma_core::Session) -> (i64, i64) {
 /// the serving layer adds — snapshot reads that never block on writers and
 /// fair scheduling across sessions — rather than intra-query parallelism.
 /// Every reader query asserts the consistency checksum (`SUM == COUNT`
-/// over an all-ones column) and the final row count is the cross-run
-/// checksum. Emits BENCH_concurrency.json.
+/// over a column of distinct values built to sum to its row count) and the
+/// final row count is the cross-run checksum. Emits BENCH_concurrency.json.
 fn concurrency(scale: usize, gate: &mut Gate) {
     use rma_core::serve::Server;
 
@@ -902,10 +920,11 @@ fn concurrency(scale: usize, gate: &mut Gate) {
     let serial_run = |rows: usize| -> (Duration, i64) {
         let server = Server::default();
         let s = server.session_with_budget(1);
-        s.create_table("t", ones(rows)).expect("create");
+        s.create_table("t", spread(rows)).expect("create");
+        assert_scans_rows(&server);
         let t = Instant::now();
         for _ in 0..WRITERS * BATCHES_PER_WRITER {
-            s.insert("t", &ones(BATCH_ROWS)).expect("insert");
+            s.insert("t", &spread(BATCH_ROWS)).expect("insert");
         }
         for _ in 0..queries {
             serve_count_sum(&s);
@@ -917,14 +936,15 @@ fn concurrency(scale: usize, gate: &mut Gate) {
     let concurrent_run = |rows: usize| -> (Duration, i64) {
         let server = Server::default();
         let admin = server.session_with_budget(1);
-        admin.create_table("t", ones(rows)).expect("create");
+        admin.create_table("t", spread(rows)).expect("create");
+        assert_scans_rows(&server);
         let t = Instant::now();
         std::thread::scope(|scope| {
             for _ in 0..WRITERS {
                 let s = server.session_with_budget(1);
                 scope.spawn(move || {
                     for _ in 0..BATCHES_PER_WRITER {
-                        s.insert("t", &ones(BATCH_ROWS)).expect("insert");
+                        s.insert("t", &spread(BATCH_ROWS)).expect("insert");
                     }
                 });
             }
@@ -1072,7 +1092,8 @@ fn robustness(scale: usize, gate: &mut Gate) {
     let setup = |governed: bool| -> rma_core::Session {
         let server = Server::default();
         let s = server.session();
-        s.create_table("t", ones(rows)).expect("create");
+        s.create_table("t", spread(rows)).expect("create");
+        assert_scans_rows(&server);
         if governed {
             // limits far from tripping: the run pays the full governance
             // machinery (admission estimate, guard mint, per-morsel
@@ -1127,7 +1148,8 @@ fn robustness(scale: usize, gate: &mut Gate) {
     // without measuring the OS scheduler.
     let server = Server::default();
     let s = server.session();
-    s.create_table("t", ones(rows)).expect("create");
+    s.create_table("t", spread(rows)).expect("create");
+    assert_scans_rows(&server);
     s.set_mem_budget(u64::MAX / 2);
     s.set_deadline(Some(Duration::from_secs(3600)));
     let cancel_after = governed_t / 4;

@@ -712,7 +712,7 @@ pub fn thread_scaling_table(rows: usize, seed: u64) -> Relation {
 /// Run the fixed scan→select→aggregate workload through the lazy plan at a
 /// given worker-thread count. The filter evaluates a compute-heavy
 /// expression per row and the aggregation folds three measures over 64
-/// groups, so the morsel pipeline and the parallel aggregation both
+/// groups, so the parallel selection and the parallel aggregation both
 /// contribute. Returns (wall time, integer checksum). The checksum digests
 /// each group's key and exact counts — values whose parallel merge is
 /// bit-exact — so a mis-merged or mis-ordered parallel aggregation changes

@@ -47,9 +47,6 @@ pub struct RmaOptions {
     pub backend: Backend,
     /// Order-schema sorting policy (§8.1).
     pub sort_policy: SortPolicy,
-    /// Verify that order schemas form keys (the paper requires it; turning
-    /// it off removes the O(n) hash check from micro-benchmarks).
-    pub validate_keys: bool,
     /// Auto-policy memory budget for the dense copy, in bytes. When the
     /// estimated dense working set exceeds it, the BAT kernel is used
     /// (mirroring the paper's switch to BATs when MKL would not fit).
@@ -57,10 +54,9 @@ pub struct RmaOptions {
     /// Worker threads for *plan execution*. Sizes the context's session
     /// [`WorkerPool`] (created at context construction; contexts at the
     /// default count share one process-wide pool). With `threads > 1` the
-    /// plan interpreter routes operators with a parallel implementation
-    /// (partitioned scan pipelines, hash joins, aggregation, sort/top-k)
-    /// through the morsel-driven engine on that pool; `1` forces the serial
-    /// plan interpreter. The dense kernels in `rma-linalg` run on the same
+    /// operators with a parallel implementation (selection, hash joins,
+    /// aggregation, sort/top-k) run morsel-parallel on that pool; `1` runs
+    /// every operator serially. The dense kernels in `rma-linalg` run on the same
     /// substrate: constructing any context installs the process-wide
     /// default-sized pool as their executor
     /// ([`rma_linalg::install_parallelism`]), still budgeted by the shared
@@ -94,7 +90,6 @@ impl Default for RmaOptions {
         RmaOptions {
             backend: Backend::Auto,
             sort_policy: SortPolicy::Optimized,
-            validate_keys: true,
             dense_memory_budget: 8 << 30, // 8 GiB
             threads: default_threads(),
             join_reorder: true,

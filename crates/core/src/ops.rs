@@ -54,7 +54,7 @@ impl RmaContext {
         if matches!(mode, SortMode::Full) {
             stats.sorts += 1;
         }
-        let s = split(self, r, order, mode)?;
+        let s = split(r, order, mode)?;
         stats.sort += t_sort.elapsed();
         let out = eval_unary(self, op, &s.app, &mut stats)?;
 
@@ -145,13 +145,13 @@ impl RmaContext {
                 // ranks already agree row by row (identical order keys, or
                 // both operands physically sorted): align positionally; an
                 // identical s shares r's key verdict
-                let rs = split(self, r, r_order, SortMode::Skip)?;
+                let rs = split(r, r_order, SortMode::Skip)?;
                 let s_mode = if identical {
                     SortMode::SkipValidated
                 } else {
                     SortMode::Skip
                 };
-                let ss = split(self, s, s_order, s_mode)?;
+                let ss = split(s, s_order, s_mode)?;
                 (rs, ss)
             } else if optimized {
                 // relative sorting: r stays physical, s is aligned to it;
@@ -160,17 +160,17 @@ impl RmaContext {
                     (None, SortMode::Skip)
                 } else {
                     stats.sorts += 1;
-                    let ranks = alignment_ranks(self, r, r_order)?;
+                    let ranks = alignment_ranks(r, r_order)?;
                     (ranks, SortMode::SkipValidated)
                 };
-                let rs = split(self, r, r_order, r_mode)?;
+                let rs = split(r, r_order, r_mode)?;
                 stats.sorts += 1;
-                let ss = split(self, s, s_order, SortMode::AlignTo { ranks })?;
+                let ss = split(s, s_order, SortMode::AlignTo { ranks })?;
                 (rs, ss)
             } else {
                 stats.sorts += 2;
-                let rs = split(self, r, r_order, SortMode::Full)?;
-                let ss = split(self, s, s_order, SortMode::Full)?;
+                let rs = split(r, r_order, SortMode::Full)?;
+                let ss = split(s, s_order, SortMode::Full)?;
                 (rs, ss)
             }
         } else {
@@ -193,8 +193,8 @@ impl RmaContext {
             if matches!(s_mode, SortMode::Full) {
                 stats.sorts += 1;
             }
-            let rs = split(self, r, r_order, r_mode)?;
-            let ss = split(self, s, s_order, s_mode)?;
+            let rs = split(r, r_order, r_mode)?;
+            let ss = split(s, s_order, s_mode)?;
             (rs, ss)
         };
         stats.sort += t_sort.elapsed();

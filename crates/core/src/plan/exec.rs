@@ -5,39 +5,34 @@
 //! backend overrides, and the routing into the morsel-driven parallel
 //! engine.
 //!
-//! Parallel routing: with `ctx.options.threads > 1`, `Scan→Select→Project`
-//! chains run as fused partition-parallel pipelines ([`super::par`]), and
-//! selections, hash joins, aggregation, sort, and top-k run
-//! partition-parallel operator-at-a-time — all on the context's session
+//! Parallel routing: with `ctx.options.threads > 1`, selections, hash
+//! joins, aggregation, sort, and top-k run partition-parallel
+//! operator-at-a-time on the context's session
 //! [`WorkerPool`](rma_relation::WorkerPool) (`ctx.pool()`), never on
 //! per-operator thread spawns. Every other operator — and everything at
-//! `threads == 1` — takes the serial interpreter below, which is the
-//! fallback rule for operators without a parallel implementation.
+//! `threads == 1` — runs serially; each `*_parallel` operator itself falls
+//! back to its serial form on a single-worker pool.
 //!
 //! Profiling: [`execute_analyzed`] runs the same interpreter with a
 //! per-node actuals recorder — output rows, inclusive wall time, and the
 //! morsel count the operator dispatched — in the exact pre-order the
 //! EXPLAIN tree prints nodes, which is what `EXPLAIN ANALYZE` joins back
-//! onto the cost-annotated rendering. Analyzed runs disable pipeline
-//! fusion so every plan node is individually attributable (and the tree is
-//! identical at any thread count); span recording
-//! ([`rma_relation::trace`]) is active in both modes whenever a collector
-//! is installed.
+//! onto the cost-annotated rendering. Analyzed and plain runs execute the
+//! same operators, so the profile is of the plan that production runs;
+//! span recording ([`rma_relation::trace`]) is active in both modes
+//! whenever a collector is installed.
 //!
-//! Out-of-core: when a memory budget is set and an operator's estimated
-//! working set does not fit the guard's remaining headroom, the
-//! interpreter routes joins to the spilling grace hash join, sorts to the
-//! external merge sort, and keyed aggregations to the partition-wise
-//! spilling aggregate (`rma_relation::algebra`'s `grace_*` /
-//! `*_external` operators) instead of failing the query. In-memory
-//! operators charge their working set as a *scope* — charged on entry,
-//! released when the operator completes — so the budget governs peak
-//! operator memory, not the lifetime sum of every materialization the
-//! plan ever performed. Spilled bytes are accounted separately
+//! Out-of-core: the operators own their memory policy. Under a budgeted
+//! [`rma_relation::QueryGuard`], the keyed aggregate, the joins, the sort,
+//! and top-k each estimate their working set and charge it for their own
+//! lifetime; when the estimate does not fit the guard's headroom, the
+//! aggregate, the joins, and the sort run their spilling variant
+//! (partitioned aggregate, grace hash join, external merge sort) instead
+//! of failing the query. Spilled bytes are accounted separately
 //! ([`rma_relation::QueryGuard::spill_bytes`]) and surface in
 //! [`crate::context::ExecStats`] and per-node in [`NodeActual`].
 
-use super::{par, LogicalPlan, PartitionedTableProvider, PlanError};
+use super::{LogicalPlan, PlanError, TableProvider};
 use crate::context::{RmaContext, RmaOptions};
 use crate::error::RmaError;
 use rma_relation::trace;
@@ -58,7 +53,7 @@ use std::time::Instant;
 pub fn execute(
     plan: &LogicalPlan,
     ctx: &RmaContext,
-    provider: &dyn PartitionedTableProvider,
+    provider: &dyn TableProvider,
 ) -> Result<Relation, PlanError> {
     let _scope = governor_scope(ctx);
     let spill0 = spill_snapshot();
@@ -124,53 +119,6 @@ fn governor_scope(ctx: &RmaContext) -> Option<rel::ActiveGuard> {
     Some(scope)
 }
 
-/// An operator's working memory, charged against the thread's active
-/// guard for exactly the operator's lifetime: charged on construction,
-/// released on drop (success *and* error paths). The weights are
-/// documented estimates, not measurements — their job is to stop (or
-/// spill) a hopeless operator *before* the allocation, not to meter it
-/// exactly. Scoping is what makes the budget govern *peak* operator
-/// memory: a pipeline of modest operators runs under a modest budget,
-/// where the old cumulative accounting double-charged every nested
-/// materialization point (a hash build deep in the plan stayed charged
-/// long after the join freed it).
-struct ChargeScope(u64);
-
-impl ChargeScope {
-    /// Charge `bytes` (no-op scope when ungoverned); fails with the
-    /// guard's typed trip when the charge breaches the budget.
-    fn new(bytes: u64) -> Result<ChargeScope, PlanError> {
-        match rel::current_guard() {
-            Some(g) => {
-                g.try_charge(bytes).map_err(RmaError::from)?;
-                Ok(ChargeScope(bytes))
-            }
-            None => Ok(ChargeScope(0)),
-        }
-    }
-}
-
-impl Drop for ChargeScope {
-    fn drop(&mut self) {
-        if self.0 > 0 {
-            if let Some(g) = rel::current_guard() {
-                g.release(self.0);
-            }
-        }
-    }
-}
-
-/// Should an operator with an estimated working set of `est_bytes` take
-/// its spilling implementation? True only when a guard with a finite
-/// budget is active and the estimate does not fit the remaining headroom
-/// — a pure probe, it never trips the guard itself.
-fn should_spill(est_bytes: u64) -> bool {
-    match rel::current_guard() {
-        Some(g) => !g.fits(est_bytes),
-        None => false,
-    }
-}
-
 /// Operator-boundary guard check, mapped into the plan error taxonomy.
 fn checkpoint() -> Result<(), PlanError> {
     rel::guard_checkpoint().map_err(RmaError::from)?;
@@ -201,12 +149,11 @@ pub struct NodeActual {
 /// Execute a plan while recording per-node actuals, returned **in the
 /// pre-order [`super::explain`] prints the tree** (node before children;
 /// join children left then right; RMA arguments in declaration order).
-/// Pipeline fusion is disabled so every node is timed individually — the
-/// result relation is still exactly [`execute`]'s.
+/// The operators are exactly [`execute`]'s, so is the result relation.
 pub fn execute_analyzed(
     plan: &LogicalPlan,
     ctx: &RmaContext,
-    provider: &dyn PartitionedTableProvider,
+    provider: &dyn TableProvider,
 ) -> Result<(Relation, Vec<NodeActual>), PlanError> {
     let _scope = governor_scope(ctx);
     let spill0 = spill_snapshot();
@@ -264,20 +211,13 @@ fn node_label(plan: &LogicalPlan) -> &'static str {
 fn execute_inner(
     plan: &LogicalPlan,
     ctx: &RmaContext,
-    provider: &dyn PartitionedTableProvider,
+    provider: &dyn TableProvider,
     analyze: Option<&RefCell<Vec<NodeActual>>>,
 ) -> Result<Relation, PlanError> {
     let pool = ctx.pool();
     // operator-boundary governance: a cancelled/expired/over-budget query
     // stops before the next node even when every operator ran serially
     checkpoint()?;
-    // fusion collapses Scan→Select→Project chains into one job, which is
-    // faster but unattributable per node — analyzed runs keep nodes apart
-    if analyze.is_none() && pool.threads() > 1 {
-        if let Some(result) = par::try_pipeline(plan, ctx, provider) {
-            return result;
-        }
-    }
     let my_id = analyze.map(|a| {
         let mut v = a.borrow_mut();
         v.push(NodeActual::default());
@@ -320,51 +260,21 @@ fn execute_inner(
             let r = execute_inner(input, ctx, provider, analyze)?;
             morsels = par_morsels(threads, r.len());
             let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
-            if gb.is_empty() {
-                // ungrouped: a handful of accumulators, not a table —
-                // charging 32 bytes per input row here rejected queries
-                // whose working set is actually constant
-                let _working = ChargeScope::new(256)?;
-                Ok(rel::aggregate_parallel(&r, &gb, aggs, pool)?)
-            } else {
-                // aggregate states: worst case every row is its own
-                // group (key + accumulator slots), ~32 bytes each
-                let est = 32 * r.len() as u64;
-                if should_spill(est) {
-                    Ok(rel::aggregate_external(&r, &gb, aggs, pool)?)
-                } else {
-                    let _working = ChargeScope::new(est)?;
-                    Ok(rel::aggregate_parallel(&r, &gb, aggs, pool)?)
-                }
-            }
+            Ok(rel::aggregate_parallel(&r, &gb, aggs, pool)?)
         }
         LogicalPlan::NaturalJoin { left, right } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
             morsels = par_morsels(threads, l.len().max(r.len()));
-            // hash build over the right side: bucket + match-list entry
-            // per row, ~48 bytes each
-            let est = 48 * r.len() as u64;
-            if should_spill(est) {
-                Ok(rel::grace_natural_join(&l, &r, pool)?)
-            } else {
-                let _build = ChargeScope::new(est)?;
-                Ok(rel::natural_join_parallel(&l, &r, pool)?)
-            }
+            Ok(rel::natural_join_parallel(&l, &r, pool)?)
         }
         LogicalPlan::JoinOn { left, right, on } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
             morsels = par_morsels(threads, l.len().max(r.len()));
-            let est = 48 * r.len() as u64;
             let pairs: Vec<(&str, &str)> =
                 on.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-            if should_spill(est) {
-                Ok(rel::grace_join_on(&l, &r, &pairs, pool)?)
-            } else {
-                let _build = ChargeScope::new(est)?;
-                Ok(rel::join_on_parallel(&l, &r, &pairs, pool)?)
-            }
+            Ok(rel::join_on_parallel(&l, &r, &pairs, pool)?)
         }
         LogicalPlan::Cross { left, right } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
@@ -383,17 +293,10 @@ fn execute_inner(
         LogicalPlan::OrderBy { input, keys } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
             morsels = sort_morsels(threads, r.len());
-            // sort runs + merged permutation: one index per row, 8 bytes
-            let est = 8 * r.len() as u64;
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
-            if should_spill(est) {
-                Ok(rel::order_by_external(&r, &attrs, &dirs, pool)?)
-            } else {
-                let _working = ChargeScope::new(est)?;
-                // per-worker local sorts + k-way merge; result is a view
-                Ok(rel::order_by_parallel(&r, &attrs, &dirs, pool)?)
-            }
+            // per-worker local sorts + k-way merge; result is a view
+            Ok(rel::order_by_parallel(&r, &attrs, &dirs, pool)?)
         }
         LogicalPlan::Limit { input, n } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
@@ -402,9 +305,6 @@ fn execute_inner(
         LogicalPlan::TopK { input, keys, n } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
             morsels = sort_morsels(threads, r.len());
-            // bounded heaps: n candidates per worker, 8-byte indices —
-            // already sublinear in the input, so top-k never spills
-            let _working = ChargeScope::new(8 * (*n as u64) * threads as u64)?;
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
             // per-worker bounded heaps merged at the barrier

@@ -23,7 +23,6 @@
 mod exec;
 mod frame;
 pub mod optimize;
-mod par;
 pub mod stats;
 
 pub use exec::{execute, execute_analyzed, NodeActual};
@@ -35,7 +34,6 @@ use crate::error::RmaError;
 use crate::shape::RmaOp;
 use rma_relation::{AggSpec, Expr, Relation, RelationError};
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// A source of named tables for [`LogicalPlan::Scan`] nodes. The SQL
@@ -54,23 +52,6 @@ pub trait TableProvider {
     }
 }
 
-/// A [`TableProvider`] whose tables can be scanned as row-range partitions
-/// — the scan side of the morsel-driven parallel engine. The default
-/// implementation splits a table into up to `target` near-equal contiguous
-/// row ranges with the in-memory row-range partitioner
-/// ([`rma_relation::partition_ranges`]); providers backed by sharded or
-/// chunked storage can override it to expose natural shard boundaries.
-/// Returning `None` (or a single range) makes the executor fall back to a
-/// serial scan of that table.
-pub trait PartitionedTableProvider: TableProvider {
-    /// Row ranges to scan `table` in, targeting (up to) `target` morsels;
-    /// `None` or a single range falls back to a serial scan.
-    fn scan_partitions(&self, table: &str, target: usize) -> Option<Vec<Range<usize>>> {
-        self.table(table)
-            .map(|r| rma_relation::partition_ranges(r.len(), target))
-    }
-}
-
 /// The empty provider: every `Scan` fails to resolve.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoTables;
@@ -80,8 +61,6 @@ impl TableProvider for NoTables {
         None
     }
 }
-
-impl PartitionedTableProvider for NoTables {}
 
 /// One argument of a relational matrix operation in a plan: the input plan,
 /// its order schema, and an optimizer-set flag recording that the input is

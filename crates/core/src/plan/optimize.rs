@@ -396,13 +396,9 @@ fn push_one_selection(
                         projection: None,
                     },
                 );
-                let inner = if ctx.options.validate_keys {
-                    LogicalPlan::AssertKey {
-                        attrs: order,
-                        input: Box::new(inner),
-                    }
-                } else {
-                    inner
+                let inner = LogicalPlan::AssertKey {
+                    attrs: order,
+                    input: Box::new(inner),
                 };
                 *args[0].input = push_one_selection(p, inner, ctx, provider);
             }

@@ -81,10 +81,10 @@ fn schemas(r: &Relation, order: &[&str]) -> Result<(Schema, Schema), RmaError> {
     Ok((order_schema, app_schema))
 }
 
-/// Fail with `OrderSchemaNotKey` unless key validation is off or the
-/// verdict holds.
-fn require_key(ctx: &RmaContext, order: &[&str], is_key: bool) -> Result<(), RmaError> {
-    if !ctx.options.validate_keys || is_key {
+/// Fail with `OrderSchemaNotKey` unless the verdict holds: the paper
+/// requires every order schema to be a key.
+fn require_key(order: &[&str], is_key: bool) -> Result<(), RmaError> {
+    if is_key {
         return Ok(());
     }
     Err(RmaError::OrderSchemaNotKey(
@@ -95,48 +95,37 @@ fn require_key(ctx: &RmaContext, order: &[&str], is_key: bool) -> Result<(), Rma
 /// The sort permutation of `r` by `order` (`None` = already in order),
 /// validating the order schema from the same pass. An empty order schema
 /// keeps physical order and is a key of at most one tuple.
-fn sort_validated(
-    ctx: &RmaContext,
-    r: &Relation,
-    order: &[&str],
-) -> Result<Option<Vec<usize>>, RmaError> {
+fn sort_validated(r: &Relation, order: &[&str]) -> Result<Option<Vec<usize>>, RmaError> {
     if order.is_empty() {
-        require_key(ctx, order, r.len() <= 1)?;
+        require_key(order, r.len() <= 1)?;
         return Ok(None);
     }
     let o = key_order(&r.columns_of(order)?);
-    require_key(ctx, order, o.is_key)?;
+    require_key(order, o.is_key)?;
     Ok(o.perm)
 }
 
 /// Validate the order schema and split the relation (Algorithm 1 lines 1–7).
-pub fn split(
-    ctx: &RmaContext,
-    r: &Relation,
-    order: &[&str],
-    mode: SortMode,
-) -> Result<Split, RmaError> {
+pub fn split(r: &Relation, order: &[&str], mode: SortMode) -> Result<Split, RmaError> {
     let (order_schema, app_schema) = schemas(r, order)?;
     // establish operation order; identity permutations (already-sorted
     // data) skip the gather entirely, like MonetDB's sortedness property
     let perm: Option<Vec<usize>> = match mode {
-        SortMode::Full => sort_validated(ctx, r, order)?,
+        SortMode::Full => sort_validated(r, order)?,
         SortMode::Skip => {
-            if ctx.options.validate_keys {
-                let key = if order.is_empty() {
-                    r.len() <= 1
-                } else {
-                    is_key(&r.columns_of(order)?)
-                };
-                require_key(ctx, order, key)?;
-            }
+            let key = if order.is_empty() {
+                r.len() <= 1
+            } else {
+                is_key(&r.columns_of(order)?)
+            };
+            require_key(order, key)?;
             None
         }
         SortMode::SkipValidated => None,
         SortMode::AlignTo { ranks } => {
             // this relation sorted by its own keys, then re-ordered so that
             // row i matches the other relation's physical row i
-            match (sort_validated(ctx, r, order)?, ranks) {
+            match (sort_validated(r, order)?, ranks) {
                 (own, None) => own,
                 (None, ranks) => ranks,
                 (Some(own), Some(ranks)) => Some(ranks.iter().map(|&k| own[k]).collect()),
@@ -188,13 +177,9 @@ pub fn unary_sort_mode(ctx: &RmaContext, op: crate::shape::RmaOp) -> SortMode {
 /// rows under its order schema (`ranks[i]` = sorted position of row `i`;
 /// `None` when the relation is already in order). The same pass validates
 /// the order schema, so `r` is then split with [`SortMode::SkipValidated`].
-pub fn alignment_ranks(
-    ctx: &RmaContext,
-    r: &Relation,
-    order: &[&str],
-) -> Result<Option<Vec<usize>>, RmaError> {
+pub fn alignment_ranks(r: &Relation, order: &[&str]) -> Result<Option<Vec<usize>>, RmaError> {
     schemas(r, order)?;
-    Ok(sort_validated(ctx, r, order)?.map(|perm| invert_permutation(&perm)))
+    Ok(sort_validated(r, order)?.map(|perm| invert_permutation(&perm)))
 }
 
 /// Are the two operands' order keys equal row by row
@@ -288,8 +273,7 @@ mod tests {
 
     #[test]
     fn full_sort_gathers_in_key_order() {
-        let ctx = RmaContext::default();
-        let s = split(&ctx, &weather(), &["T"], SortMode::Full).unwrap();
+        let s = split(&weather(), &["T"], SortMode::Full).unwrap();
         assert_eq!(s.app_names, vec!["H", "W"]);
         assert_eq!(s.app[0], vec![1.0, 1.0, 6.0, 8.0]); // H sorted by T
         assert_eq!(s.app[1], vec![3.0, 4.0, 7.0, 5.0]); // W sorted by T
@@ -299,8 +283,7 @@ mod tests {
 
     #[test]
     fn skip_keeps_physical_order() {
-        let ctx = RmaContext::default();
-        let s = split(&ctx, &weather(), &["T"], SortMode::Skip).unwrap();
+        let s = split(&weather(), &["T"], SortMode::Skip).unwrap();
         assert_eq!(s.app[0], vec![1.0, 8.0, 6.0, 1.0]);
         assert!(s.perm.is_none());
     }
@@ -309,15 +292,14 @@ mod tests {
     fn align_to_matches_other_relation() {
         // s has the same keys in a different physical order; aligning s to
         // r's physical order must pair equal keys.
-        let ctx = RmaContext::default();
         let r = weather();
         let s_rel = RelationBuilder::new()
             .column("T2", vec!["6am", "5am", "8am", "7am"])
             .column("X", vec![60.0f64, 50.0, 80.0, 70.0])
             .build()
             .unwrap();
-        let ranks = alignment_ranks(&ctx, &r, &["T"]).unwrap();
-        let s = split(&ctx, &s_rel, &["T2"], SortMode::AlignTo { ranks }).unwrap();
+        let ranks = alignment_ranks(&r, &["T"]).unwrap();
+        let s = split(&s_rel, &["T2"], SortMode::AlignTo { ranks }).unwrap();
         // r physical order: 5am, 8am, 7am, 6am → aligned X: 50, 80, 70, 60
         assert_eq!(s.app[0], vec![50.0, 80.0, 70.0, 60.0]);
         let t2: Vec<Value> = s.order_cols[0].iter_values().collect();
@@ -347,45 +329,36 @@ mod tests {
 
     #[test]
     fn key_violation_detected() {
-        let ctx = RmaContext::default();
         let r = RelationBuilder::new()
             .column("k", vec![1i64, 1])
             .column("x", vec![1.0f64, 2.0])
             .build()
             .unwrap();
         assert!(matches!(
-            split(&ctx, &r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full),
             Err(RmaError::OrderSchemaNotKey(_))
         ));
     }
 
     #[test]
     fn key_violation_detected_on_every_mode() {
-        let ctx = RmaContext::default();
         let r = dup_keys();
-        assert!(not_key(split(&ctx, &r, &["k"], SortMode::Full)));
-        assert!(not_key(split(&ctx, &r, &["k"], SortMode::Skip)));
+        assert!(not_key(split(&r, &["k"], SortMode::Full)));
+        assert!(not_key(split(&r, &["k"], SortMode::Skip)));
         assert!(not_key(split(
-            &ctx,
             &r,
             &["k"],
             SortMode::AlignTo { ranks: None }
         )));
         let ranks = Some(vec![3, 2, 1, 0]);
-        assert!(not_key(split(
-            &ctx,
-            &r,
-            &["k"],
-            SortMode::AlignTo { ranks }
-        )));
-        assert!(not_key(alignment_ranks(&ctx, &r, &["k"])));
+        assert!(not_key(split(&r, &["k"], SortMode::AlignTo { ranks })));
+        assert!(not_key(alignment_ranks(&r, &["k"])));
         // the caller vouches for the verdict: no check here
-        assert!(split(&ctx, &r, &["k"], SortMode::SkipValidated).is_ok());
+        assert!(split(&r, &["k"], SortMode::SkipValidated).is_ok());
     }
 
     #[test]
     fn key_violation_detected_on_every_key_shape() {
-        let ctx = RmaContext::default();
         let wide = |k: Vec<i64>| {
             RelationBuilder::new()
                 .column("k", k)
@@ -416,9 +389,9 @@ mod tests {
             .unwrap();
         for r in [spread, sorted, strs, nulls] {
             for mode in [SortMode::Full, SortMode::Skip] {
-                assert!(not_key(split(&ctx, &r, &["k"], mode)), "{r:?}");
+                assert!(not_key(split(&r, &["k"], mode)), "{r:?}");
             }
-            assert!(not_key(alignment_ranks(&ctx, &r, &["k"])));
+            assert!(not_key(alignment_ranks(&r, &["k"])));
         }
         let dict_col = Column::from(vec!["a"; 16])
             .encode_as(rma_storage::Encoding::Dict)
@@ -428,8 +401,8 @@ mod tests {
             .column("x", vec![1.0f64; 16])
             .build()
             .unwrap();
-        assert!(not_key(split(&ctx, &dict, &["k"], SortMode::Skip)));
-        assert!(not_key(split(&ctx, &dict, &["k"], SortMode::Full)));
+        assert!(not_key(split(&dict, &["k"], SortMode::Skip)));
+        assert!(not_key(split(&dict, &["k"], SortMode::Full)));
     }
 
     #[test]
@@ -489,55 +462,38 @@ mod tests {
     }
 
     #[test]
-    fn key_validation_can_be_disabled() {
-        let ctx = RmaContext::new(crate::context::RmaOptions {
-            validate_keys: false,
-            ..Default::default()
-        });
-        let r = RelationBuilder::new()
-            .column("k", vec![1i64, 1])
-            .column("x", vec![1.0f64, 2.0])
-            .build()
-            .unwrap();
-        assert!(split(&ctx, &r, &["k"], SortMode::Skip).is_ok());
-    }
-
-    #[test]
     fn non_numeric_application_rejected() {
-        let ctx = RmaContext::default();
         let r = RelationBuilder::new()
             .column("k", vec![1i64, 2])
             .column("s", vec!["a", "b"])
             .build()
             .unwrap();
         assert!(matches!(
-            split(&ctx, &r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full),
             Err(RmaError::NonNumericApplication { .. })
         ));
     }
 
     #[test]
     fn empty_application_rejected() {
-        let ctx = RmaContext::default();
         let r = RelationBuilder::new()
             .column("k", vec![1i64, 2])
             .build()
             .unwrap();
         assert!(matches!(
-            split(&ctx, &r, &["k"], SortMode::Full),
+            split(&r, &["k"], SortMode::Full),
             Err(RmaError::EmptyApplication)
         ));
     }
 
     #[test]
     fn int_application_widens() {
-        let ctx = RmaContext::default();
         let r = RelationBuilder::new()
             .column("k", vec![2i64, 1])
             .column("x", vec![20i64, 10])
             .build()
             .unwrap();
-        let s = split(&ctx, &r, &["k"], SortMode::Full).unwrap();
+        let s = split(&r, &["k"], SortMode::Full).unwrap();
         assert_eq!(s.app[0], vec![10.0, 20.0]);
     }
 

@@ -1,10 +1,12 @@
 //! Observability integration tests (PR 7): per-session [`ExecStats`]
-//! attribution under concurrent sessions, and `EXPLAIN ANALYZE` output
-//! stability across worker-thread counts.
+//! attribution under concurrent sessions, `EXPLAIN ANALYZE` output
+//! stability across worker-thread counts, and traced execution matching
+//! the analyzed plan.
 
 use rma_core::plan::Frame;
 use rma_core::serve::Server;
-use rma_core::{RmaContext, RmaOptions};
+use rma_core::{RmaContext, RmaOptions, TraceSession};
+use rma_relation::par::MIN_PARALLEL_ROWS;
 use rma_relation::{Expr, Relation, RelationBuilder};
 
 fn matrix_table() -> Relation {
@@ -102,9 +104,9 @@ fn normalize(text: &str) -> String {
 }
 
 /// EXPLAIN ANALYZE renders the identical tree — same nodes, same actual
-/// rows, same q-errors — at 1 and 4 worker threads: analyzed runs execute
-/// operator-at-a-time (pipeline fusion off) precisely so profiles are
-/// comparable across configurations.
+/// rows, same q-errors — at 1 and 4 worker threads: plans execute
+/// operator-at-a-time at every thread count, so profiles are comparable
+/// across configurations.
 #[test]
 fn explain_analyze_is_stable_across_thread_counts() {
     let serial = analyzed(1);
@@ -125,4 +127,71 @@ fn explain_analyze_is_stable_across_thread_counts() {
     assert_eq!(serial.matches("JoinOn").count(), 2, "{serial}");
     // the scan of `a` feeds 3000 rows into the filter, which keeps x<5
     assert!(serial.contains("actual=3000"), "{serial}");
+}
+
+/// A traced `collect` runs the plan `EXPLAIN ANALYZE` profiles: a
+/// Scan→Select→Project chain over a morsel-parallel input executes as its
+/// own operators — `exec.select` and `exec.project` spans, no fused
+/// `pipeline.*` span — and the Select dispatches exactly the morsel count
+/// the analyzed run prints for it.
+#[test]
+fn traced_execution_is_the_plan_explain_analyze_profiles() {
+    let ctx = RmaContext::new(RmaOptions {
+        threads: 2,
+        ..RmaOptions::default()
+    });
+    let n = 3 * MIN_PARALLEL_ROWS as i64 + 11;
+    let r = RelationBuilder::new()
+        .column("k", (0..n).collect::<Vec<_>>())
+        .column("x", (0..n).map(|i| i % 7).collect::<Vec<_>>())
+        .build()
+        .unwrap();
+    let frame = Frame::scan(r)
+        .select(Expr::col("x").lt(Expr::lit(3i64)))
+        .project_exprs(vec![(
+            Expr::col("k").mul(Expr::lit(2i64)),
+            "k2".to_string(),
+        )]);
+    let kept = (0..n).filter(|i| i % 7 < 3).count() as u64;
+
+    let session = TraceSession::start();
+    let out = frame.collect(&ctx).unwrap();
+    let spans = session.finish();
+    assert_eq!(out.len() as u64, kept);
+
+    assert!(
+        spans.iter().all(|s| !s.name.starts_with("pipeline.")),
+        "a fused pipeline ran instead of the plan's operators"
+    );
+    // this is the binary's only trace session, but its other tests run
+    // plans concurrently: this plan's spans are the ones producing its
+    // (unique) output row count
+    let ours = |name: &str| {
+        spans
+            .iter()
+            .filter(|s| s.name == name && s.rows_out == kept)
+            .collect::<Vec<_>>()
+    };
+    let selects = ours("exec.select");
+    assert_eq!(selects.len(), 1, "exactly one traced Select: {selects:?}");
+    assert_eq!(ours("exec.project").len(), 1, "exactly one traced Project");
+
+    let analyzed = frame.explain_analyze(&ctx).unwrap();
+    let select_line = analyzed
+        .lines()
+        .find(|l| l.trim_start().starts_with("Select"))
+        .unwrap_or_else(|| panic!("no Select line in\n{analyzed}"));
+    let morsels: u64 = select_line
+        .split(' ')
+        .find_map(|tok| tok.strip_prefix("morsels="))
+        .and_then(|m| m.parse().ok())
+        .unwrap_or_else(|| panic!("no morsel count on {select_line}"));
+    assert!(
+        morsels > 1,
+        "the Select must run morsel-parallel: {select_line}"
+    );
+    assert_eq!(
+        selects[0].morsels, morsels,
+        "traced Select and EXPLAIN ANALYZE disagree:\n{analyzed}"
+    );
 }

@@ -37,7 +37,7 @@ fn pool_threads_are_reused_across_execute_calls() {
             .unwrap()
     };
 
-    // every pooled operator kind: fused pipeline, aggregation, hash join,
+    // every pooled operator kind: parallel selection, aggregation, hash join,
     // full sort, and the Limit-into-Sort top-k rewrite
     let frames = [
         Frame::scan(table.clone())

@@ -2,9 +2,13 @@
 //! partition-wise spilling aggregate.
 //!
 //! These are the spill-path twins of the in-memory parallel operators,
-//! taken when the planner's headroom probe
-//! ([`QueryGuard::fits`](crate::par::QueryGuard::fits)) says the operator's
-//! working set will not fit the memory budget:
+//! private to them: each public operator (`join_on_parallel`,
+//! `natural_join_parallel`, `aggregate_parallel`, `order_by_parallel`)
+//! takes its twin when the headroom probe
+//! ([`QueryGuard::fits`](crate::par::QueryGuard::fits)) says its working
+//! set will not fit the memory budget ([`super::place`]). Partitions run
+//! the in-memory kernels directly — no nested charge, no nested spill
+//! decision:
 //!
 //! - **Grace hash join**: both inputs are hash-partitioned on the join key
 //!   into [`SpillFile`]s (null-key rows are dropped up front — inner-join
@@ -45,7 +49,7 @@ use std::hash::{Hash, Hasher};
 /// of the 64-bit key hash, so two levels of fanout ≤ 32 already separate
 /// everything except genuinely duplicate keys — which no partitioning can
 /// split further.
-pub const MAX_GRACE_DEPTH: u32 = 2;
+const MAX_GRACE_DEPTH: u32 = 2;
 
 /// Grace fanout bounds: at least a real split, at most a file-descriptor
 /// count that stays polite at two levels of recursion.
@@ -161,7 +165,7 @@ fn repartition(
 
 /// Grace hash equi-join (spill path of [`super::join_on`] /
 /// [`super::parallel::join_on_parallel`]). Result rows are partition-major.
-pub fn grace_join_on(
+pub(super) fn grace_join_on(
     a: &Relation,
     b: &Relation,
     on: &[(&str, &str)],
@@ -179,7 +183,7 @@ pub fn grace_join_on(
 /// [`super::parallel::natural_join_parallel`]). Falls back to the cross
 /// product when no attributes are shared, exactly like the in-memory
 /// operator (a cross product has no key to partition on).
-pub fn grace_natural_join(
+pub(super) fn grace_natural_join(
     a: &Relation,
     b: &Relation,
     pool: &WorkerPool,
@@ -271,9 +275,9 @@ fn join_partition(
     let b_rel = bf.read_all(b_schema)?;
     let span = trace::clock();
     let joined = if natural {
-        super::parallel::natural_join_parallel(&a_rel, &b_rel, pool)?
+        super::parallel::natural_join_in_memory(&a_rel, &b_rel, pool)?
     } else {
-        super::parallel::join_on_parallel(&a_rel, &b_rel, on, pool)?
+        super::parallel::join_on_in_memory(&a_rel, &b_rel, on, pool)?
     };
     trace::record(
         "join.grace_part",
@@ -291,7 +295,7 @@ fn join_partition(
 /// budget-sized sorted runs spilled by the workers, then a streaming k-way
 /// merge from disk. Row order is identical to the serial
 /// [`super::order_by`] (and therefore to [`super::order_by_parallel`]).
-pub fn order_by_external(
+pub(super) fn order_by_external(
     r: &Relation,
     attrs: &[&str],
     ascending: &[bool],
@@ -529,17 +533,15 @@ impl ColBuilder {
 /// are hash-partitioned on the group key — a group never spans partitions
 /// — so each partition aggregates independently and the results
 /// concatenate. Ungrouped aggregation never needs this (its state is one
-/// accumulator row) and delegates straight to the in-memory operator.
-pub fn aggregate_external(
+/// accumulator row), so `group_by` must be non-empty.
+pub(super) fn aggregate_external(
     r: &Relation,
     group_by: &[&str],
     aggs: &[super::AggSpec],
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
-    if group_by.is_empty() {
-        return super::parallel::aggregate_parallel(r, group_by, aggs, pool);
-    }
-    let parts = fanout(32 * r.len() as u64);
+    debug_assert!(!group_by.is_empty(), "ungrouped aggregation never spills");
+    let parts = fanout(super::parallel::AGG_BYTES_PER_ROW * r.len() as u64);
     let mut files = create_files(parts)?;
     partition_into(r, group_by, parts, 0, false, &mut files)?;
     for f in &mut files {
@@ -548,7 +550,7 @@ pub fn aggregate_external(
     let mut results = Vec::with_capacity(parts);
     for f in &files {
         let part = f.read_all(r.schema())?;
-        results.push(super::parallel::aggregate_parallel(
+        results.push(super::parallel::aggregate_in_memory(
             &part, group_by, aggs, pool,
         )?);
     }

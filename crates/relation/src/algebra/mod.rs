@@ -14,9 +14,6 @@ mod setops;
 mod sort;
 
 pub use aggregate::{aggregate, AggFunc, AggSpec};
-pub use external::{
-    aggregate_external, grace_join_on, grace_natural_join, order_by_external, MAX_GRACE_DEPTH,
-};
 pub use join::{cross_product, join_on, natural_join, theta_join};
 pub use parallel::{aggregate_parallel, join_on_parallel, natural_join_parallel, select_parallel};
 pub use project::{project, project_exprs, rename};
@@ -24,8 +21,62 @@ pub use select::select;
 pub use setops::{distinct, limit, order_by, top_k, union_all};
 pub use sort::{order_by_parallel, top_k_parallel};
 
+use crate::error::RelationError;
+use crate::par::current_guard;
 use rma_storage::{Column, ColumnAccessor};
 use std::hash::{Hash, Hasher};
+
+/// An operator's working memory, charged against the thread's active
+/// guard for exactly the operator's lifetime: charged on construction,
+/// released on drop (success *and* error paths). The weights operators
+/// pass are documented estimates, not measurements — their job is to stop
+/// (or spill) a hopeless operator *before* the allocation, not to meter it
+/// exactly. Scoping makes the budget govern *peak* operator memory, not
+/// the lifetime sum of every materialization a plan performs.
+struct WorkingSet(u64);
+
+impl WorkingSet {
+    /// Charge `bytes` (a no-op scope when ungoverned); fails with the
+    /// guard's typed trip when the charge breaches the budget.
+    fn charge(bytes: u64) -> Result<WorkingSet, RelationError> {
+        match current_guard() {
+            Some(g) => {
+                g.try_charge(bytes)?;
+                Ok(WorkingSet(bytes))
+            }
+            None => Ok(WorkingSet(0)),
+        }
+    }
+}
+
+impl Drop for WorkingSet {
+    fn drop(&mut self) {
+        if self.0 > 0 {
+            if let Some(g) = current_guard() {
+                g.release(self.0);
+            }
+        }
+    }
+}
+
+/// Where an operator with a spilling variant runs.
+enum Placement {
+    /// In memory, holding its charged working set.
+    Memory(WorkingSet),
+    /// On disk: the estimate does not fit the guard's remaining headroom.
+    Spill,
+}
+
+/// Place an operator whose working set is estimated at `est_bytes`: spill
+/// only when a guard with a finite budget is active and the estimate does
+/// not fit its headroom ([`crate::QueryGuard::fits`], a pure probe);
+/// otherwise charge the estimate for the operator's lifetime.
+fn place(est_bytes: u64) -> Result<Placement, RelationError> {
+    match current_guard() {
+        Some(g) if !g.fits(est_bytes) => Ok(Placement::Spill),
+        _ => WorkingSet::charge(est_bytes).map(Placement::Memory),
+    }
+}
 
 /// A hashable, equatable key extracted from one row of a set of columns.
 /// Used by grouping and duplicate elimination (joins hash the typed column

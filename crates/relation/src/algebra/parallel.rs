@@ -12,12 +12,18 @@
 //! operator, which is also the fallback rule the plan executor applies to
 //! operators without a parallel implementation. Operators never spawn
 //! threads themselves: every job runs on the pool's parked workers.
+//!
+//! The keyed aggregate and the joins own their out-of-core policy: each
+//! estimates its working set, and under a governed query either charges
+//! that estimate for its lifetime or, when it does not fit the guard's
+//! headroom, takes its spilling variant in [`super::external`]
+//! ([`super::place`]).
 
 use super::aggregate::{accumulate, finalize, resolve_agg_cols, validate_aggs, Partial};
 use super::join::{
     assemble_join, build_side_range, common_attributes, join_key_sides, probe_range,
 };
-use super::{AggSpec, KeyPart};
+use super::{external, place, AggSpec, KeyPart, Placement, WorkingSet};
 use crate::error::RelationError;
 use crate::expr::Expr;
 use crate::par::{morsel_count, partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
@@ -61,10 +67,39 @@ pub fn select_parallel(
     Ok(r.filter(&keep))
 }
 
+/// Aggregate-state bytes per input row: worst case every row is its own
+/// group (key + accumulator slots).
+pub(super) const AGG_BYTES_PER_ROW: u64 = 32;
+
+/// Hash-build bytes per build-side row: bucket + match-list entry.
+const JOIN_BUILD_BYTES_PER_ROW: u64 = 48;
+
 /// Parallel ϑ: each worker accumulates per-group partial states over its
 /// morsels; partials are merged in morsel order at the barrier, which
 /// reproduces the serial first-seen group order, then finalized once.
+/// A keyed aggregation whose states do not fit the memory budget runs
+/// partition-wise from spill files instead.
 pub fn aggregate_parallel(
+    r: &Relation,
+    group_by: &[&str],
+    aggs: &[AggSpec],
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    if group_by.is_empty() {
+        // ungrouped: a handful of accumulators, not a table — charging
+        // per input row would reject queries whose working set is constant
+        let _working = WorkingSet::charge(256)?;
+        return aggregate_in_memory(r, group_by, aggs, pool);
+    }
+    match place(AGG_BYTES_PER_ROW * r.len() as u64)? {
+        Placement::Spill => external::aggregate_external(r, group_by, aggs, pool),
+        Placement::Memory(_working) => aggregate_in_memory(r, group_by, aggs, pool),
+    }
+}
+
+/// The in-memory parallel aggregate (also the per-partition kernel of the
+/// spilling aggregate, which has already placed itself).
+pub(super) fn aggregate_in_memory(
     r: &Relation,
     group_by: &[&str],
     aggs: &[AggSpec],
@@ -116,7 +151,8 @@ pub fn aggregate_parallel(
 
 /// Parallel hash equi-join: partitioned build (per-morsel hash tables over
 /// the right side, merged in morsel order so match lists stay ascending)
-/// followed by a partitioned probe of the left side.
+/// followed by a partitioned probe of the left side. A build side that
+/// does not fit the memory budget takes the grace hash join instead.
 pub fn join_on_parallel(
     a: &Relation,
     b: &Relation,
@@ -128,6 +164,34 @@ pub fn join_on_parallel(
             "equi-join requires at least one key pair".to_string(),
         ));
     }
+    match place(JOIN_BUILD_BYTES_PER_ROW * b.len() as u64)? {
+        Placement::Spill => external::grace_join_on(a, b, on, pool),
+        Placement::Memory(_build) => join_on_in_memory(a, b, on, pool),
+    }
+}
+
+/// Parallel natural join: the equi-join machinery over all common attribute
+/// names, dropping the duplicated key columns; spills like
+/// [`join_on_parallel`].
+pub fn natural_join_parallel(
+    a: &Relation,
+    b: &Relation,
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    match place(JOIN_BUILD_BYTES_PER_ROW * b.len() as u64)? {
+        Placement::Spill => external::grace_natural_join(a, b, pool),
+        Placement::Memory(_build) => natural_join_in_memory(a, b, pool),
+    }
+}
+
+/// The in-memory parallel equi-join (also the grace join's per-partition
+/// kernel). `on` must be non-empty.
+pub(super) fn join_on_in_memory(
+    a: &Relation,
+    b: &Relation,
+    on: &[(&str, &str)],
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
     if pool.threads() <= 1 || (a.len() < MIN_PARALLEL_ROWS && b.len() < MIN_PARALLEL_ROWS) {
         return super::join_on(a, b, on);
     }
@@ -135,9 +199,9 @@ pub fn join_on_parallel(
     assemble_join(a, b, left_idx, right_idx, &[])
 }
 
-/// Parallel natural join: the equi-join machinery over all common attribute
-/// names, dropping the duplicated key columns.
-pub fn natural_join_parallel(
+/// The in-memory parallel natural join (also the grace join's
+/// per-partition kernel).
+pub(super) fn natural_join_in_memory(
     a: &Relation,
     b: &Relation,
     pool: &WorkerPool,

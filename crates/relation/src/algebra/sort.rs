@@ -23,6 +23,7 @@
 //! serial operators.
 
 use super::setops::{order_by, top_k};
+use super::{place, Placement, WorkingSet};
 use crate::error::RelationError;
 use crate::par::{partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
@@ -80,8 +81,22 @@ impl SortKeys {
 /// then a k-way merge of the sorted runs. The result is a view (index
 /// selection vector over the shared base columns) in the same row order the
 /// serial [`order_by`] produces. Delegates to the serial operator for
-/// single-worker pools and small inputs.
+/// single-worker pools and small inputs. A permutation that does not fit
+/// the memory budget takes the external merge sort instead.
 pub fn order_by_parallel(
+    r: &Relation,
+    attrs: &[&str],
+    ascending: &[bool],
+    pool: &WorkerPool,
+) -> Result<Relation, RelationError> {
+    // sort runs + merged permutation: one 8-byte index per row
+    match place(8 * r.len() as u64)? {
+        Placement::Spill => super::external::order_by_external(r, attrs, ascending, pool),
+        Placement::Memory(_working) => sort_in_memory(r, attrs, ascending, pool),
+    }
+}
+
+fn sort_in_memory(
     r: &Relation,
     attrs: &[&str],
     ascending: &[bool],
@@ -139,6 +154,9 @@ pub fn top_k_parallel(
     n: usize,
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
+    // bounded heaps: n candidates per worker, 8-byte indices — already
+    // sublinear in the input, so top-k never spills
+    let _working = WorkingSet::charge(8 * (n as u64) * pool.threads() as u64)?;
     // With k within a factor of the input size the bounded heaps approach a
     // full sort per worker while still paying the merge — serial wins.
     if pool.threads() <= 1 || r.len() < MIN_PARALLEL_ROWS || n == 0 || n * 4 >= r.len() {
