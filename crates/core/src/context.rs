@@ -6,10 +6,11 @@
 //! [`ExecStats`] measures the data-transformation share reported in Fig. 14.
 
 use crate::shape::RmaOp;
-use rma_relation::{PoolStats, WorkerPool};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use rma_relation::{ActiveGuard, PoolStats, QueryGuard, WorkerPool};
+use rma_storage::{Counter, Counters};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which kernel family computes base results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,14 +112,16 @@ pub fn default_threads() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelUsed {
     /// The no-copy column-at-a-time kernel.
-    Bat,
+    Bat = 1,
     /// The dense contiguous kernel.
-    Dense,
+    Dense = 2,
     /// A BAT-forced operation had no BAT implementation.
-    DenseFallback,
+    DenseFallback = 3,
 }
 
-/// Timing breakdown of the last operations run through a context.
+/// Timing breakdown of the last operations run through a context: the
+/// execution counters of its [`Counters`] store, read by
+/// [`RmaContext::stats`].
 ///
 /// `copy_in`/`copy_out` cover the BAT↔dense transformations only — the
 /// quantity Fig. 14b reports as the transformation share; `compute` is the
@@ -164,83 +167,22 @@ impl ExecStats {
     }
 }
 
-/// Lock-free statistics cell: every counter is an atomic so parallel
-/// workers record sorts/copies concurrently without a shared lock (and
-/// [`RmaContext`] is `Sync`, so one context can serve a whole worker pool).
-/// Durations are stored as nanoseconds.
-#[derive(Debug, Default)]
-struct AtomicStats {
-    copy_in_ns: AtomicU64,
-    copy_out_ns: AtomicU64,
-    compute_ns: AtomicU64,
-    sort_ns: AtomicU64,
-    ops_run: AtomicU32,
-    sorts: AtomicU32,
-    /// 0 = none, 1 = Bat, 2 = Dense, 3 = DenseFallback.
-    last_kernel: AtomicU8,
-    spill_bytes: AtomicU64,
-    spill_partitions: AtomicU64,
-    decode_sinks: AtomicU64,
+/// Nanoseconds since `t`, for the time counters.
+pub(crate) fn elapsed_ns(t: Instant) -> u64 {
+    t.elapsed().as_nanos() as u64
 }
 
-impl AtomicStats {
-    fn accumulate(&self, s: &ExecStats) {
-        let add_ns = |cell: &AtomicU64, d: Duration| {
-            cell.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-        };
-        add_ns(&self.copy_in_ns, s.copy_in);
-        add_ns(&self.copy_out_ns, s.copy_out);
-        add_ns(&self.compute_ns, s.compute);
-        add_ns(&self.sort_ns, s.sort);
-        self.ops_run.fetch_add(s.ops_run, Ordering::Relaxed);
-        self.sorts.fetch_add(s.sorts, Ordering::Relaxed);
-        self.spill_bytes.fetch_add(s.spill_bytes, Ordering::Relaxed);
-        self.spill_partitions
-            .fetch_add(s.spill_partitions, Ordering::Relaxed);
-        self.decode_sinks
-            .fetch_add(s.decode_sinks, Ordering::Relaxed);
-        if let Some(k) = s.last_kernel {
-            let code = match k {
-                KernelUsed::Bat => 1,
-                KernelUsed::Dense => 2,
-                KernelUsed::DenseFallback => 3,
-            };
-            self.last_kernel.store(code, Ordering::Relaxed);
-        }
-    }
+/// A query minted by [`RmaContext::enter`]. Its counters roll up on drop,
+/// unwinding included, so a panicking query still reports what it did.
+pub(crate) struct QueryScope<'a> {
+    ctx: &'a RmaContext,
+    guard: QueryGuard,
+    _active: ActiveGuard,
+}
 
-    fn snapshot(&self) -> ExecStats {
-        let ns = |cell: &AtomicU64| Duration::from_nanos(cell.load(Ordering::Relaxed));
-        ExecStats {
-            copy_in: ns(&self.copy_in_ns),
-            copy_out: ns(&self.copy_out_ns),
-            compute: ns(&self.compute_ns),
-            sort: ns(&self.sort_ns),
-            ops_run: self.ops_run.load(Ordering::Relaxed),
-            sorts: self.sorts.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            spill_partitions: self.spill_partitions.load(Ordering::Relaxed),
-            decode_sinks: self.decode_sinks.load(Ordering::Relaxed),
-            last_kernel: match self.last_kernel.load(Ordering::Relaxed) {
-                1 => Some(KernelUsed::Bat),
-                2 => Some(KernelUsed::Dense),
-                3 => Some(KernelUsed::DenseFallback),
-                _ => None,
-            },
-        }
-    }
-
-    fn reset(&self) {
-        self.copy_in_ns.store(0, Ordering::Relaxed);
-        self.copy_out_ns.store(0, Ordering::Relaxed);
-        self.compute_ns.store(0, Ordering::Relaxed);
-        self.sort_ns.store(0, Ordering::Relaxed);
-        self.ops_run.store(0, Ordering::Relaxed);
-        self.sorts.store(0, Ordering::Relaxed);
-        self.last_kernel.store(0, Ordering::Relaxed);
-        self.spill_bytes.store(0, Ordering::Relaxed);
-        self.spill_partitions.store(0, Ordering::Relaxed);
-        self.decode_sinks.store(0, Ordering::Relaxed);
+impl Drop for QueryScope<'_> {
+    fn drop(&mut self) {
+        self.ctx.counters.add_all(&self.guard.counters().snapshot());
     }
 }
 
@@ -287,18 +229,22 @@ fn pool_for(threads: usize) -> Arc<WorkerPool> {
     }
 }
 
-/// An execution context: options plus accumulated statistics and the
+/// An execution context: options, one [`Counters`] store, and the
 /// session worker pool every parallel operator of this context runs on.
 /// Create one per query (cheap — default-threaded contexts share one
 /// process-wide pool) or keep one around per session. `Sync`: parallel
-/// workers may share one context and record statistics concurrently.
+/// workers may share one context and count concurrently. Operations add
+/// their phase times to the store directly; each query minted on the
+/// context adds its own counters (spill, decode sinks) once when it ends.
 #[derive(Debug)]
 pub struct RmaContext {
     /// Execution options this context runs operations under. `threads` is
     /// read at construction to size the worker pool; mutate options through
     /// a new context, not in place.
     pub options: RmaOptions,
-    stats: AtomicStats,
+    counters: Arc<Counters>,
+    /// The most recent operation's [`KernelUsed`] discriminant (0 = none).
+    last_kernel: Arc<AtomicU8>,
     pool: Arc<WorkerPool>,
 }
 
@@ -314,7 +260,8 @@ impl RmaContext {
         let pool = pool_for(options.threads);
         RmaContext {
             options,
-            stats: AtomicStats::default(),
+            counters: Arc::default(),
+            last_kernel: Arc::default(),
             pool,
         }
     }
@@ -336,25 +283,33 @@ impl RmaContext {
         self.pool.stats()
     }
 
-    /// A context with different options *sharing this context's pool* —
-    /// the plan interpreter's per-node backend overrides use this so an
-    /// override never spawns a second worker set.
-    pub(crate) fn with_options_shared_pool(&self, options: RmaOptions) -> RmaContext {
+    /// This context under a different backend, sharing everything else —
+    /// pool and counters — so the plan interpreter's per-node backend
+    /// overrides count into the caller's store and never spawn a second
+    /// worker set.
+    pub(crate) fn with_backend_shared(&self, backend: Backend) -> RmaContext {
         RmaContext {
-            options,
-            stats: AtomicStats::default(),
+            options: RmaOptions {
+                backend,
+                ..self.options.clone()
+            },
+            counters: Arc::clone(&self.counters),
+            last_kernel: Arc::clone(&self.last_kernel),
             pool: Arc::clone(&self.pool),
         }
     }
 
     /// A context with the same options, **sharing this context's worker
-    /// pool**, but with fresh zeroed statistics. This is how the serving
-    /// layer gives each session (and, via another fork, each query) its own
-    /// [`ExecStats`] attribution: concurrent queries record into their own
-    /// forked context instead of polluting a context-global counter set,
-    /// while still executing on the one shared pool.
+    /// pool**, but with its own zeroed counters. This is how the serving
+    /// layer gives each session its own attribution: concurrent sessions
+    /// count into their own forked context instead of polluting a shared
+    /// counter set, while still executing on the one shared pool.
     pub fn fork(&self) -> RmaContext {
-        self.with_options_shared_pool(self.options.clone())
+        RmaContext {
+            counters: Arc::default(),
+            last_kernel: Arc::default(),
+            ..self.with_backend_shared(self.options.backend)
+        }
     }
 
     /// Context forcing a specific backend, other options default.
@@ -365,18 +320,66 @@ impl RmaContext {
         })
     }
 
-    /// Accumulated statistics since construction or the last reset.
+    /// This context's counter store — shared with the server's metrics
+    /// registry when the context belongs to a session.
+    pub fn counters(&self) -> &Arc<Counters> {
+        &self.counters
+    }
+
+    /// Accumulated statistics since construction or the last reset: the
+    /// [`ExecStats`] view of the counter store.
     pub fn stats(&self) -> ExecStats {
-        self.stats.snapshot()
+        let c = self.counters.snapshot();
+        ExecStats {
+            copy_in: Duration::from_nanos(c.copy_in_ns),
+            copy_out: Duration::from_nanos(c.copy_out_ns),
+            compute: Duration::from_nanos(c.compute_ns),
+            sort: Duration::from_nanos(c.sort_ns),
+            ops_run: c.ops_run as u32,
+            sorts: c.sorts as u32,
+            last_kernel: match self.last_kernel.load(Ordering::Relaxed) {
+                1 => Some(KernelUsed::Bat),
+                2 => Some(KernelUsed::Dense),
+                3 => Some(KernelUsed::DenseFallback),
+                _ => None,
+            },
+            spill_bytes: c.spill_bytes,
+            spill_partitions: c.spill_partitions,
+            decode_sinks: c.decode_sinks,
+        }
     }
 
-    /// Zero the accumulated statistics.
+    /// Zero the accumulated statistics: the execution counters, which
+    /// precede [`Counter::Queries`] (a session's query, row and governor
+    /// counts keep running).
     pub fn reset_stats(&self) {
-        self.stats.reset();
+        for c in Counter::ALL.into_iter().filter(|&c| c < Counter::Queries) {
+            self.counters.reset(c);
+        }
+        self.last_kernel.store(0, Ordering::Relaxed);
     }
 
-    pub(crate) fn record(&self, s: &ExecStats) {
-        self.stats.accumulate(s);
+    /// Record the kernel family the most recent operation ran on.
+    pub(crate) fn set_last_kernel(&self, k: KernelUsed) {
+        self.last_kernel.store(k as u8, Ordering::Relaxed);
+    }
+
+    /// A fresh guard for one query under this context's governor options
+    /// ([`RmaOptions::deadline`], [`RmaOptions::mem_budget`]; unlimited by
+    /// default).
+    pub fn query_guard(&self) -> QueryGuard {
+        QueryGuard::with_limits(self.options.deadline, self.options.mem_budget as u64)
+    }
+
+    /// Mint a query on this context: `guard` is active on the calling
+    /// thread until the returned scope drops, and then the query's
+    /// counters are added once into this context's store.
+    pub(crate) fn enter(&self, guard: QueryGuard) -> QueryScope<'_> {
+        QueryScope {
+            ctx: self,
+            _active: guard.activate(),
+            guard,
+        }
     }
 
     /// Decide the kernel for an operation on an `m × n` application part
@@ -419,6 +422,7 @@ impl RmaContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rma_storage::CounterSnapshot;
 
     #[test]
     fn auto_policy_matches_paper() {
@@ -486,18 +490,18 @@ mod tests {
     #[test]
     fn stats_accumulate_and_share() {
         let ctx = RmaContext::default();
-        let s = ExecStats {
-            copy_in: Duration::from_millis(30),
-            copy_out: Duration::from_millis(10),
-            compute: Duration::from_millis(60),
-            sort: Duration::from_millis(5),
+        let s = CounterSnapshot {
+            copy_in_ns: 30_000_000,
+            copy_out_ns: 10_000_000,
+            compute_ns: 60_000_000,
+            sort_ns: 5_000_000,
             ops_run: 1,
             sorts: 1,
-            last_kernel: Some(KernelUsed::Dense),
-            ..ExecStats::default()
+            ..CounterSnapshot::default()
         };
-        ctx.record(&s);
-        ctx.record(&s);
+        ctx.counters().add_all(&s);
+        ctx.counters().add_all(&s);
+        ctx.set_last_kernel(KernelUsed::Dense);
         let acc = ctx.stats();
         assert_eq!(acc.ops_run, 2);
         assert_eq!(acc.sorts, 2);
@@ -513,18 +517,18 @@ mod tests {
         // RmaContext is Sync: workers record without a lock and no update
         // is lost
         let ctx = RmaContext::default();
-        let s = ExecStats {
-            compute: Duration::from_micros(10),
+        let s = CounterSnapshot {
+            compute_ns: 10_000,
             ops_run: 1,
             sorts: 2,
-            last_kernel: Some(KernelUsed::Bat),
-            ..ExecStats::default()
+            ..CounterSnapshot::default()
         };
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for _ in 0..100 {
-                        ctx.record(&s);
+                        ctx.counters().add_all(&s);
+                        ctx.set_last_kernel(KernelUsed::Bat);
                     }
                 });
             }

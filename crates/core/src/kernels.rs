@@ -2,13 +2,14 @@
 //!
 //! The dense path times the BAT→contiguous copy, the kernel, and the copy
 //! back separately, so the Fig. 14 transformation-share experiment can read
-//! the exact split from [`ExecStats`].
+//! the exact split from [`ExecStats`](crate::ExecStats).
 
-use crate::context::{Backend, ExecStats, KernelUsed, RmaContext};
+use crate::context::{elapsed_ns, Backend, KernelUsed, RmaContext};
 use crate::error::RmaError;
 use crate::shape::RmaOp;
 use rma_linalg::bat;
 use rma_linalg::dense::{self, Matrix};
+use rma_storage::CounterSnapshot;
 use std::time::Instant;
 
 /// Base result of a kernel invocation.
@@ -43,7 +44,7 @@ pub fn eval_unary(
     ctx: &RmaContext,
     op: RmaOp,
     app: &[Vec<f64>],
-    stats: &mut ExecStats,
+    tally: &mut CounterSnapshot,
 ) -> Result<KernelOut, RmaError> {
     let m = app.first().map_or(0, Vec::len);
     let n = app.len();
@@ -60,28 +61,28 @@ pub fn eval_unary(
         Backend::Bat => {
             let t = Instant::now();
             let out = bat_unary(op, app)?;
-            stats.compute += t.elapsed();
+            tally.compute_ns += elapsed_ns(t);
             out
         }
         _ => {
             let t = Instant::now();
             let dense_in = Matrix::from_columns(app)?;
-            stats.copy_in += t.elapsed();
+            tally.copy_in_ns += elapsed_ns(t);
             let t = Instant::now();
             let out = dense_unary(op, &dense_in)?;
-            stats.compute += t.elapsed();
+            tally.compute_ns += elapsed_ns(t);
             let t = Instant::now();
             let out = match out {
                 DenseOut::Matrix(mx) => KernelOut::Cols(mx.into_columns()),
                 DenseOut::Vector(v) => KernelOut::Cols(vec![v]),
                 DenseOut::Scalar(s) => KernelOut::Scalar(s),
             };
-            stats.copy_out += t.elapsed();
+            tally.copy_out_ns += elapsed_ns(t);
             out
         }
     };
-    stats.ops_run += 1;
-    stats.last_kernel = Some(kernel_used);
+    tally.ops_run += 1;
+    ctx.set_last_kernel(kernel_used);
     Ok(out)
 }
 
@@ -91,7 +92,7 @@ pub fn eval_binary(
     op: RmaOp,
     a: &[Vec<f64>],
     b: &[Vec<f64>],
-    stats: &mut ExecStats,
+    tally: &mut CounterSnapshot,
 ) -> Result<KernelOut, RmaError> {
     let m = a.first().map_or(0, Vec::len);
     let n = a.len();
@@ -101,26 +102,26 @@ pub fn eval_binary(
         Backend::Bat => {
             let t = Instant::now();
             let out = bat_binary(op, a, b)?;
-            stats.compute += t.elapsed();
-            stats.last_kernel = Some(KernelUsed::Bat);
+            tally.compute_ns += elapsed_ns(t);
+            ctx.set_last_kernel(KernelUsed::Bat);
             out
         }
         _ => {
             let t = Instant::now();
             let ma = Matrix::from_columns(a)?;
             let mb = Matrix::from_columns(b)?;
-            stats.copy_in += t.elapsed();
+            tally.copy_in_ns += elapsed_ns(t);
             let t = Instant::now();
             let out = dense_binary(op, &ma, &mb)?;
-            stats.compute += t.elapsed();
+            tally.compute_ns += elapsed_ns(t);
             let t = Instant::now();
             let out = KernelOut::Cols(out.into_columns());
-            stats.copy_out += t.elapsed();
-            stats.last_kernel = Some(KernelUsed::Dense);
+            tally.copy_out_ns += elapsed_ns(t);
+            ctx.set_last_kernel(KernelUsed::Dense);
             out
         }
     };
-    stats.ops_run += 1;
+    tally.ops_run += 1;
     Ok(out)
 }
 
@@ -259,7 +260,7 @@ mod tests {
 
     #[test]
     fn unary_backends_agree_on_inv() {
-        let mut s = ExecStats::default();
+        let mut s = CounterSnapshot::default();
         let bat_ctx = RmaContext::with_backend(Backend::Bat);
         let dense_ctx = RmaContext::with_backend(Backend::Dense);
         let a = eval_unary(&bat_ctx, RmaOp::Inv, &square(), &mut s)
@@ -273,18 +274,18 @@ mod tests {
                 assert!((x - y).abs() < 1e-10);
             }
         }
-        assert_eq!(s.last_kernel, Some(KernelUsed::Dense));
+        assert_eq!(dense_ctx.stats().last_kernel, Some(KernelUsed::Dense));
     }
 
     #[test]
     fn bat_forced_falls_back_for_svd() {
-        let mut s = ExecStats::default();
+        let mut s = CounterSnapshot::default();
         let ctx = RmaContext::with_backend(Backend::Bat);
         let app = vec![vec![2.0, 0.0, 0.0], vec![0.0, 5.0, 0.0]];
         let out = eval_unary(&ctx, RmaOp::Vsv, &app, &mut s)
             .unwrap()
             .into_cols();
-        assert_eq!(s.last_kernel, Some(KernelUsed::DenseFallback));
+        assert_eq!(ctx.stats().last_kernel, Some(KernelUsed::DenseFallback));
         assert_eq!(out[0].len(), 3); // padded to m rows
         assert!((out[0][0] - 5.0).abs() < 1e-12);
         assert!((out[0][1] - 2.0).abs() < 1e-12);
@@ -293,25 +294,25 @@ mod tests {
 
     #[test]
     fn dense_path_records_copy_time() {
-        let mut s = ExecStats::default();
+        let mut s = CounterSnapshot::default();
         let ctx = RmaContext::with_backend(Backend::Dense);
         eval_unary(&ctx, RmaOp::Qqr, &square(), &mut s).unwrap();
-        assert!(s.copy_in.as_nanos() > 0);
+        assert!(s.copy_in_ns > 0);
         assert_eq!(s.ops_run, 1);
     }
 
     #[test]
     fn bat_path_records_no_copy_time() {
-        let mut s = ExecStats::default();
+        let mut s = CounterSnapshot::default();
         let ctx = RmaContext::with_backend(Backend::Bat);
         eval_unary(&ctx, RmaOp::Inv, &square(), &mut s).unwrap();
-        assert!(s.copy_in.is_zero() && s.copy_out.is_zero());
-        assert_eq!(s.last_kernel, Some(KernelUsed::Bat));
+        assert!(s.copy_in_ns == 0 && s.copy_out_ns == 0);
+        assert_eq!(ctx.stats().last_kernel, Some(KernelUsed::Bat));
     }
 
     #[test]
     fn auto_uses_bat_for_elementwise() {
-        let mut s = ExecStats::default();
+        let mut s = CounterSnapshot::default();
         let ctx = RmaContext::new(RmaOptions::default());
         let a = vec![vec![1.0, 2.0]];
         let b = vec![vec![10.0, 20.0]];
@@ -319,12 +320,12 @@ mod tests {
             .unwrap()
             .into_cols();
         assert_eq!(out[0], vec![11.0, 22.0]);
-        assert_eq!(s.last_kernel, Some(KernelUsed::Bat));
+        assert_eq!(ctx.stats().last_kernel, Some(KernelUsed::Bat));
     }
 
     #[test]
     fn binary_backends_agree_on_mmu() {
-        let mut s = ExecStats::default();
+        let mut s = CounterSnapshot::default();
         let a = vec![vec![1.0, 3.0], vec![2.0, 4.0]]; // [[1,2],[3,4]]
         let b = vec![vec![5.0, 7.0], vec![6.0, 8.0]]; // [[5,6],[7,8]]
         let bat = eval_binary(
@@ -351,7 +352,7 @@ mod tests {
 
     #[test]
     fn usv_full_u_is_square_orthonormal() {
-        let mut s = ExecStats::default();
+        let mut s = CounterSnapshot::default();
         let ctx = RmaContext::with_backend(Backend::Dense);
         // 4×2 application part → U must be 4×4
         let app = vec![vec![1.0, 1.0, 6.0, 8.0], vec![3.0, 4.0, 7.0, 5.0]];
@@ -371,7 +372,7 @@ mod tests {
 
     #[test]
     fn scalar_ops() {
-        let mut s = ExecStats::default();
+        let mut s = CounterSnapshot::default();
         let ctx = RmaContext::default();
         let out = eval_unary(&ctx, RmaOp::Det, &square(), &mut s).unwrap();
         match out {

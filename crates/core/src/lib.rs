@@ -44,9 +44,10 @@ pub use context::{
 pub use error::RmaError;
 pub use plan::{Frame, LogicalPlan, PlanError, TableProvider};
 pub use rma_relation::{GuardError, PoolStats, QueryGuard};
+pub use rma_storage::{Counter, CounterSnapshot, Counters};
 pub use serve::{
     CatalogSnapshot, MetricsRegistry, MetricsSnapshot, ServeError, Server, Session,
-    SessionCounters, VersionedCatalog,
+    VersionedCatalog,
 };
 pub use shape::{Dim, RmaOp, ShapeType, ALL_OPS};
 pub use trace::{chrome_trace_json, Span, TraceSession};

@@ -7,7 +7,7 @@
 //! base result — yielding a relation with row and column origins
 //! (Theorem 6.8).
 
-use crate::context::RmaContext;
+use crate::context::{elapsed_ns, RmaContext};
 use crate::error::RmaError;
 use crate::kernels::{eval_binary, eval_unary, KernelOut};
 use crate::shape::RmaOp;
@@ -16,7 +16,7 @@ use crate::split::{
     unary_sort_mode, SortMode, Split,
 };
 use rma_relation::{Attribute, Relation, Schema};
-use rma_storage::{Column, ColumnData, DataType};
+use rma_storage::{Column, ColumnData, CounterSnapshot, DataType};
 use std::time::Instant;
 
 impl RmaContext {
@@ -44,7 +44,7 @@ impl RmaContext {
                 found: order.len(),
             });
         }
-        let mut stats = crate::context::ExecStats::default();
+        let mut tally = CounterSnapshot::default();
         let t_sort = Instant::now();
         let mode = if input_sorted {
             SortMode::Skip
@@ -52,11 +52,11 @@ impl RmaContext {
             unary_sort_mode(self, op)
         };
         if matches!(mode, SortMode::Full) {
-            stats.sorts += 1;
+            tally.sorts += 1;
         }
         let s = split(r, order, mode)?;
-        stats.sort += t_sort.elapsed();
-        let out = eval_unary(self, op, &s.app, &mut stats)?;
+        tally.sort_ns += elapsed_ns(t_sort);
+        let out = eval_unary(self, op, &s.app, &mut tally)?;
 
         let t_merge = Instant::now();
         let result = match op {
@@ -86,8 +86,8 @@ impl RmaContext {
             RmaOp::Det | RmaOp::Rnk => scalar_relation(op, r, out)?,
             other => unreachable!("binary op {other:?} in unary dispatch"),
         };
-        stats.sort += t_merge.elapsed();
-        self.record(&stats);
+        tally.sort_ns += elapsed_ns(t_merge);
+        self.counters().add_all(&tally);
         Ok(result)
     }
 
@@ -124,7 +124,7 @@ impl RmaContext {
                 found: s_order.len(),
             });
         }
-        let mut stats = crate::context::ExecStats::default();
+        let mut tally = CounterSnapshot::default();
         let t_sort = Instant::now();
         let aligned = matches!(
             op,
@@ -159,16 +159,16 @@ impl RmaContext {
                 let (ranks, r_mode) = if r_sorted {
                     (None, SortMode::Skip)
                 } else {
-                    stats.sorts += 1;
+                    tally.sorts += 1;
                     let ranks = alignment_ranks(r, r_order)?;
                     (ranks, SortMode::SkipValidated)
                 };
                 let rs = split(r, r_order, r_mode)?;
-                stats.sorts += 1;
+                tally.sorts += 1;
                 let ss = split(s, s_order, SortMode::AlignTo { ranks })?;
                 (rs, ss)
             } else {
-                stats.sorts += 2;
+                tally.sorts += 2;
                 let rs = split(r, r_order, SortMode::Full)?;
                 let ss = split(s, s_order, SortMode::Full)?;
                 (rs, ss)
@@ -188,23 +188,23 @@ impl RmaContext {
                 SortMode::Full
             };
             if matches!(r_mode, SortMode::Full) {
-                stats.sorts += 1;
+                tally.sorts += 1;
             }
             if matches!(s_mode, SortMode::Full) {
-                stats.sorts += 1;
+                tally.sorts += 1;
             }
             let rs = split(r, r_order, r_mode)?;
             let ss = split(s, s_order, s_mode)?;
             (rs, ss)
         };
-        stats.sort += t_sort.elapsed();
+        tally.sort_ns += elapsed_ns(t_sort);
 
         // element-wise ops need union-compatible application schemas
         if matches!(op, RmaOp::Add | RmaOp::Sub | RmaOp::Emu) && rs.app.len() != ss.app.len() {
             return Err(RmaError::ApplicationNotUnionCompatible);
         }
 
-        let out = eval_binary(self, op, &rs.app, &ss.app, &mut stats)?;
+        let out = eval_binary(self, op, &rs.app, &ss.app, &mut tally)?;
 
         let result = match op {
             // (r∗,c∗): γ(µU(r) ‖ µV(s) ‖ OP, U ◦ V ◦ U̅)
@@ -233,7 +233,7 @@ impl RmaContext {
             }
             other => unreachable!("unary op {other:?} in binary dispatch"),
         };
-        self.record(&stats);
+        self.counters().add_all(&tally);
         Ok(result)
     }
 

@@ -28,26 +28,29 @@
 //! lifetime; when the estimate does not fit the guard's headroom, the
 //! aggregate, the joins, and the sort run their spilling variant
 //! (partitioned aggregate, grace hash join, external merge sort) instead
-//! of failing the query. Spilled bytes are accounted separately
-//! ([`rma_relation::QueryGuard::spill_bytes`]) and surface in
-//! [`crate::context::ExecStats`] and per-node in [`NodeActual`].
+//! of failing the query. Spilled bytes are never charged against the
+//! budget; the spill writer counts them on the query's own counters
+//! ([`rma_relation::QueryGuard::counters`]), which roll up into the
+//! context's [`crate::context::ExecStats`] when the query ends and read
+//! out per node as [`NodeActual`] deltas.
 
 use super::{LogicalPlan, PlanError, TableProvider};
-use crate::context::{RmaContext, RmaOptions};
+use crate::context::{QueryScope, RmaContext};
 use crate::error::RmaError;
 use rma_relation::trace;
 use rma_relation::{self as rel, morsel_count, par::MIN_PARALLEL_ROWS, Relation};
+use rma_storage::CounterSnapshot;
 use std::cell::RefCell;
 use std::time::Instant;
 
 /// Execute a logical plan against a table provider.
 ///
-/// Runs under the calling thread's active
-/// [`QueryGuard`](rma_relation::QueryGuard) when one is installed (the
-/// serving layer's per-query governor); otherwise, when
-/// [`RmaOptions::mem_budget`] or [`RmaOptions::deadline`] is set (or the
-/// `RMA_FAULT` fault-injection knob is armed), a guard is minted here for
-/// the duration of the plan. Governance trips surface as
+/// Always runs under a [`QueryGuard`](rma_relation::QueryGuard): the
+/// calling thread's active one when installed (the serving layer's
+/// per-query governor), otherwise one minted here by
+/// [`RmaContext::query_guard`] (unlimited by
+/// default; the `RMA_FAULT` fault-injection knob arms it) whose counters
+/// roll up into `ctx` when the plan ends. Governance trips surface as
 /// `PlanError::Rma(RmaError::Cancelled | DeadlineExceeded |
 /// ResourceExhausted)`.
 pub fn execute(
@@ -55,68 +58,25 @@ pub fn execute(
     ctx: &RmaContext,
     provider: &dyn TableProvider,
 ) -> Result<Relation, PlanError> {
-    let _scope = governor_scope(ctx);
-    let spill0 = spill_snapshot();
-    let sinks0 = rma_storage::decode_sink_events();
-    let result = execute_inner(plan, ctx, provider, None)?;
-    record_spill_delta(ctx, spill0);
-    record_sink_delta(ctx, sinks0);
-    Ok(result)
+    let _query = governed(ctx);
+    execute_inner(plan, ctx, provider, None)
 }
 
-/// The active guard's spill counters right now (`None` = ungoverned, so
-/// nothing can spill).
-fn spill_snapshot() -> Option<(u64, u64)> {
-    rel::current_guard().map(|g| (g.spill_bytes(), g.spill_partitions()))
+/// Mint this plan's query on `ctx` unless a guard already governs the
+/// thread (whoever minted that one rolls its counters up).
+fn governed(ctx: &RmaContext) -> Option<QueryScope<'_>> {
+    rel::current_guard()
+        .is_none()
+        .then(|| ctx.enter(ctx.query_guard()))
 }
 
-/// Record how much the plan spilled since `before` into the context's
-/// [`crate::context::ExecStats`] — the counters the serving layer's
-/// per-session stats and metrics read.
-fn record_spill_delta(ctx: &RmaContext, before: Option<(u64, u64)>) {
-    let (Some(g), Some((b0, p0))) = (rel::current_guard(), before) else {
-        return;
-    };
-    let bytes = g.spill_bytes().saturating_sub(b0);
-    let partitions = g.spill_partitions().saturating_sub(p0);
-    if bytes > 0 || partitions > 0 {
-        ctx.record(&crate::context::ExecStats {
-            spill_bytes: bytes,
-            spill_partitions: partitions,
-            ..Default::default()
-        });
-    }
-}
-
-/// Record how many forced `decode()` sinks fired since `before` into the
-/// context's [`crate::context::ExecStats`]. The underlying counter is
-/// process-global and monotonic, so concurrent plans may attribute each
-/// other's sinks — fine for the "is this workload staying compressed?"
-/// signal the serving metrics expose.
-fn record_sink_delta(ctx: &RmaContext, before: u64) {
-    let sinks = rma_storage::decode_sink_events().saturating_sub(before);
-    if sinks > 0 {
-        ctx.record(&crate::context::ExecStats {
-            decode_sinks: sinks,
-            ..Default::default()
-        });
-    }
-}
-
-/// Mint + activate a per-plan [`rel::QueryGuard`] from the context options
-/// when no guard is already governing this thread. Returns the RAII
-/// activation (`None` = already governed, or nothing to govern).
-fn governor_scope(ctx: &RmaContext) -> Option<rel::ActiveGuard> {
-    if rel::current_guard().is_some() {
-        return None; // the serving layer already minted this query's guard
-    }
-    let o = &ctx.options;
-    if o.mem_budget == 0 && o.deadline.is_none() && std::env::var_os("RMA_FAULT").is_none() {
-        return None;
-    }
-    let guard = rel::QueryGuard::with_limits(o.deadline, o.mem_budget as u64);
-    let scope = guard.activate();
-    Some(scope)
+/// The running query's counters right now (every plan runs under a
+/// guard, so this is only empty for a plan interpreted outside
+/// [`execute`]/[`execute_analyzed`]).
+fn query_counts() -> CounterSnapshot {
+    rel::current_guard()
+        .map(|g| g.counters().snapshot())
+        .unwrap_or_default()
 }
 
 /// Operator-boundary guard check, mapped into the plan error taxonomy.
@@ -135,15 +95,10 @@ pub struct NodeActual {
     /// Morsels the operator dispatched (1 for serial operators and inputs
     /// below the parallel threshold).
     pub morsels: u64,
-    /// Bytes this node's subtree wrote to spill files (inclusive, like
-    /// `nanos`); 0 for fully in-memory execution.
-    pub spill_bytes: u64,
-    /// Spill partitions/runs this node's subtree created (inclusive).
-    pub spill_partitions: u64,
-    /// Forced `decode()` sink events this node's subtree triggered
-    /// (inclusive): encoded columns a kernel could not process in encoded
-    /// form and had to materialize. 0 = fully compressed execution.
-    pub decode_sinks: u64,
+    /// What the node's subtree added to the query's own counters
+    /// (inclusive, like `nanos`): spill bytes and partitions, decode
+    /// sinks.
+    pub counts: CounterSnapshot,
 }
 
 /// Execute a plan while recording per-node actuals, returned **in the
@@ -155,13 +110,9 @@ pub fn execute_analyzed(
     ctx: &RmaContext,
     provider: &dyn TableProvider,
 ) -> Result<(Relation, Vec<NodeActual>), PlanError> {
-    let _scope = governor_scope(ctx);
-    let spill0 = spill_snapshot();
-    let sinks0 = rma_storage::decode_sink_events();
+    let _query = governed(ctx);
     let actuals = RefCell::new(Vec::new());
     let out = execute_inner(plan, ctx, provider, Some(&actuals))?;
-    record_spill_delta(ctx, spill0);
-    record_sink_delta(ctx, sinks0);
     Ok((out, actuals.into_inner()))
 }
 
@@ -224,8 +175,7 @@ fn execute_inner(
         v.len() - 1
     });
     let started = analyze.map(|_| Instant::now());
-    let spill0 = analyze.and_then(|_| spill_snapshot());
-    let sinks0 = analyze.map(|_| rma_storage::decode_sink_events());
+    let counts0 = analyze.map(|_| query_counts());
     let span = trace::clock();
     let threads = pool.threads();
     let mut morsels: u64 = 1;
@@ -327,13 +277,7 @@ fn execute_inner(
                 .collect::<Result<_, _>>()?;
             match backend {
                 Some(b) if *b != ctx.options.backend => {
-                    let sub = ctx.with_options_shared_pool(RmaOptions {
-                        backend: *b,
-                        ..ctx.options.clone()
-                    });
-                    let result = dispatch_rma(&sub, *op, args, &inputs);
-                    ctx.record(&sub.stats());
-                    result
+                    dispatch_rma(&ctx.with_backend_shared(*b), *op, args, &inputs)
                 }
                 _ => dispatch_rma(ctx, *op, args, &inputs),
             }
@@ -354,21 +298,12 @@ fn execute_inner(
         result.len() as u64,
         morsels,
     );
-    if let (Some(id), Some(t0), Some(sink)) = (my_id, started, analyze) {
-        let (spill_bytes, spill_partitions) = match (spill0, spill_snapshot()) {
-            (Some((b0, p0)), Some((b1, p1))) => (b1.saturating_sub(b0), p1.saturating_sub(p0)),
-            _ => (0, 0),
-        };
-        let decode_sinks = sinks0
-            .map(|s0| rma_storage::decode_sink_events().saturating_sub(s0))
-            .unwrap_or(0);
+    if let (Some(id), Some(t0), Some(c0), Some(sink)) = (my_id, started, counts0, analyze) {
         sink.borrow_mut()[id] = NodeActual {
             rows: result.len() as u64,
             nanos: t0.elapsed().as_nanos() as u64,
             morsels,
-            spill_bytes,
-            spill_partitions,
-            decode_sinks,
+            counts: query_counts().since(&c0),
         };
     }
     Ok(result)

@@ -602,15 +602,16 @@ fn walk_explain(
                 act.morsels,
                 q_error(est.rows, act.rows as f64)
             );
-            if act.spill_bytes > 0 || act.spill_partitions > 0 {
+            let c = &act.counts;
+            if c.spill_bytes > 0 || c.spill_partitions > 0 {
                 let _ = write!(
                     out,
                     " spilled={}B parts={}",
-                    act.spill_bytes, act.spill_partitions
+                    c.spill_bytes, c.spill_partitions
                 );
             }
-            if act.decode_sinks > 0 {
-                let _ = write!(out, " sinks={}", act.decode_sinks);
+            if c.decode_sinks > 0 {
+                let _ = write!(out, " sinks={}", c.decode_sinks);
             }
         }
     }

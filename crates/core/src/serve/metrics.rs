@@ -2,190 +2,49 @@
 //! pool-level gauges, snapshot-able as plain structs and dumpable as JSON.
 //!
 //! Every [`Session`](super::Session) (and every SQL engine opened through
-//! `Engine::session`) registers a [`SessionCounters`] cell with its
-//! server's [`MetricsRegistry`] and increments it on the query/write path
-//! — all atomics, no locks on the hot path. A [`MetricsSnapshot`]
-//! combines the per-session counters, their totals, the worker pool's
-//! [`PoolStats`], and a pool-utilization estimate (busy worker time over
+//! `Engine::session`) registers its context's [`Counters`] store with its
+//! server's [`MetricsRegistry`]; the session counts into that store on the
+//! query/write path and its queries roll their own counters into it — all
+//! atomics, no locks on the hot path. A [`MetricsSnapshot`] combines the
+//! per-session counters, their totals, the worker pool's [`PoolStats`],
+//! and a pool-utilization estimate (busy worker time over
 //! `threads × uptime`); [`MetricsSnapshot::to_json`] renders it without
 //! any serialization dependency, for CI artifacts and ad-hoc dashboards.
 
 use rma_relation::PoolStats;
-use std::sync::atomic::{AtomicU64, Ordering};
+use rma_storage::{Counter, CounterSnapshot, Counters};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One session's activity counters. Shared (`Arc`) between the session
-/// that increments and the registry that snapshots; all relaxed atomics.
-#[derive(Debug)]
-pub struct SessionCounters {
-    id: u64,
-    queries: AtomicU64,
-    rows: AtomicU64,
-    conflicts: AtomicU64,
-    retries: AtomicU64,
-    queries_cancelled: AtomicU64,
-    deadline_kills: AtomicU64,
-    mem_rejections: AtomicU64,
-    worker_panics: AtomicU64,
-    spill_bytes: AtomicU64,
-    spill_partitions: AtomicU64,
-    decode_sinks: AtomicU64,
-}
-
-impl SessionCounters {
-    fn new(id: u64) -> Self {
-        SessionCounters {
-            id,
-            queries: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            queries_cancelled: AtomicU64::new(0),
-            deadline_kills: AtomicU64::new(0),
-            mem_rejections: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            spill_bytes: AtomicU64::new(0),
-            spill_partitions: AtomicU64::new(0),
-            decode_sinks: AtomicU64::new(0),
-        }
-    }
-
-    /// The registry-assigned session id (1-based, in open order).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Count one issued query.
-    pub fn record_query(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count rows returned to the client.
-    pub fn record_rows(&self, n: u64) {
-        self.rows.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count one first-committer-wins write conflict and the retry it
-    /// forces.
-    pub fn record_conflict(&self) {
-        self.conflicts.fetch_add(1, Ordering::Relaxed);
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one query killed by [`Session::cancel`](super::Session::cancel)
-    /// (governor action, not an engine fault).
-    pub fn record_cancelled(&self) {
-        self.queries_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one query killed by its deadline.
-    pub fn record_deadline_kill(&self) {
-        self.deadline_kills.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one query rejected or aborted on its memory budget (at
-    /// admission or mid-flight).
-    pub fn record_mem_rejection(&self) {
-        self.mem_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one operator panic caught and converted to a typed error at
-    /// the session boundary.
-    pub fn record_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Account one query's out-of-core activity: bytes written to spill
-    /// files and spill partitions/runs created.
-    pub fn record_spill(&self, bytes: u64, partitions: u64) {
-        self.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.spill_partitions
-            .fetch_add(partitions, Ordering::Relaxed);
-    }
-
-    /// Account forced `decode()` sinks a query triggered: encoded columns
-    /// a kernel could not process in encoded form and materialized.
-    pub fn record_decode_sinks(&self, n: u64) {
-        self.decode_sinks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> SessionMetrics {
-        SessionMetrics {
-            id: self.id,
-            queries: self.queries.load(Ordering::Relaxed),
-            rows: self.rows.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            queries_cancelled: self.queries_cancelled.load(Ordering::Relaxed),
-            deadline_kills: self.deadline_kills.load(Ordering::Relaxed),
-            mem_rejections: self.mem_rejections.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            spill_partitions: self.spill_partitions.load(Ordering::Relaxed),
-            decode_sinks: self.decode_sinks.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data snapshot of one session's counters.
+/// Plain-data snapshot of one session's counters, readable as fields
+/// (`m.spill_bytes`) through `Deref`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionMetrics {
-    /// Registry-assigned session id.
+    /// Registry-assigned session id (1-based, in open order).
     pub id: u64,
-    /// Queries the session issued.
-    pub queries: u64,
-    /// Rows returned to the session's client.
-    pub rows: u64,
-    /// Write conflicts the session hit (first-committer-wins losses).
-    pub conflicts: u64,
-    /// Optimistic-commit retries the conflicts forced.
-    pub retries: u64,
-    /// Queries killed by `Session::cancel`.
-    pub queries_cancelled: u64,
-    /// Queries killed by their deadline.
-    pub deadline_kills: u64,
-    /// Queries rejected or aborted on their memory budget.
-    pub mem_rejections: u64,
-    /// Operator panics caught and typed at the session boundary.
-    pub worker_panics: u64,
-    /// Bytes the session's queries wrote to spill files.
-    pub spill_bytes: u64,
-    /// Spill partitions/runs the session's queries created.
-    pub spill_partitions: u64,
-    /// Forced `decode()` sinks the session's queries triggered.
-    pub decode_sinks: u64,
+    /// The session's counters.
+    pub counts: CounterSnapshot,
+}
+
+impl Deref for SessionMetrics {
+    type Target = CounterSnapshot;
+
+    fn deref(&self) -> &CounterSnapshot {
+        &self.counts
+    }
 }
 
 /// Server-wide engine metrics: what every session did, what the pool is
-/// doing, since when.
+/// doing, since when. The counter totals across sessions read as fields
+/// (`snap.conflicts`) through `Deref`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Per-session counters, in session-open order.
     pub sessions: Vec<SessionMetrics>,
-    /// Total queries across sessions.
-    pub queries: u64,
-    /// Total rows returned across sessions.
-    pub rows: u64,
-    /// Total write conflicts across sessions.
-    pub conflicts: u64,
-    /// Total optimistic-commit retries across sessions.
-    pub retries: u64,
-    /// Total queries killed by cancellation across sessions.
-    pub queries_cancelled: u64,
-    /// Total queries killed by their deadline across sessions.
-    pub deadline_kills: u64,
-    /// Total memory-budget rejections across sessions.
-    pub mem_rejections: u64,
-    /// Total worker panics caught and typed across sessions.
-    pub worker_panics: u64,
-    /// Total bytes written to spill files across sessions.
-    pub spill_bytes: u64,
-    /// Total spill partitions/runs created across sessions.
-    pub spill_partitions: u64,
-    /// Total forced `decode()` sinks across sessions (0 = every query ran
-    /// fully on encoded storage).
-    pub decode_sinks: u64,
+    /// Every counter summed across sessions (`decode_sinks` 0 = every
+    /// query ran fully on encoded storage).
+    pub totals: CounterSnapshot,
     /// Catalog storage footprint as physically held (encoded forms
     /// included), in bytes, at snapshot time.
     pub storage_encoded_bytes: u64,
@@ -201,32 +60,35 @@ pub struct MetricsSnapshot {
     pub utilization: f64,
 }
 
+impl Deref for MetricsSnapshot {
+    type Target = CounterSnapshot;
+
+    fn deref(&self) -> &CounterSnapshot {
+        &self.totals
+    }
+}
+
+/// `"name":value` for every counter, comma-separated, in enum order.
+fn write_counts(out: &mut String, counts: &CounterSnapshot) {
+    use std::fmt::Write;
+    for (i, c) in Counter::ALL.into_iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{}\":{}", c.name(), counts[c]);
+    }
+}
+
 impl MetricsSnapshot {
     /// Render the snapshot as a self-contained JSON object (hand-rolled —
     /// every field is numeric, so no escaping is needed).
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::with_capacity(256 + self.sessions.len() * 96);
+        let mut out = String::with_capacity(512 + self.sessions.len() * 384);
+        let _ = write!(out, "{{\"uptime_ms\":{},", self.uptime.as_millis());
+        write_counts(&mut out, &self.totals);
         let _ = write!(
             out,
-            "{{\"uptime_ms\":{},\"queries\":{},\"rows\":{},\"conflicts\":{},\"retries\":{},\
-             \"queries_cancelled\":{},\"deadline_kills\":{},\"mem_rejections\":{},\
-             \"worker_panics\":{},\"spill_bytes\":{},\"spill_partitions\":{},\
-             \"decode_sinks\":{},\"storage_encoded_bytes\":{},\"storage_plain_bytes\":{},",
-            self.uptime.as_millis(),
-            self.queries,
-            self.rows,
-            self.conflicts,
-            self.retries,
-            self.queries_cancelled,
-            self.deadline_kills,
-            self.mem_rejections,
-            self.worker_panics,
-            self.spill_bytes,
-            self.spill_partitions,
-            self.decode_sinks,
-            self.storage_encoded_bytes,
-            self.storage_plain_bytes
+            ",\"storage_encoded_bytes\":{},\"storage_plain_bytes\":{},",
+            self.storage_encoded_bytes, self.storage_plain_bytes
         );
         let _ = write!(
             out,
@@ -247,60 +109,40 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"queries\":{},\"rows\":{},\"conflicts\":{},\"retries\":{},\
-                 \"queries_cancelled\":{},\"deadline_kills\":{},\"mem_rejections\":{},\
-                 \"worker_panics\":{},\"spill_bytes\":{},\"spill_partitions\":{},\
-                 \"decode_sinks\":{}}}",
-                s.id,
-                s.queries,
-                s.rows,
-                s.conflicts,
-                s.retries,
-                s.queries_cancelled,
-                s.deadline_kills,
-                s.mem_rejections,
-                s.worker_panics,
-                s.spill_bytes,
-                s.spill_partitions,
-                s.decode_sinks
-            );
+            let _ = write!(out, "{{\"id\":{},", s.id);
+            write_counts(&mut out, &s.counts);
+            out.push('}');
         }
         out.push_str("]}");
         out
     }
 }
 
-/// The per-server metrics registry: assigns session ids, keeps every
-/// session's counter cell, and produces [`MetricsSnapshot`]s.
+/// The per-server metrics registry: assigns session ids, holds every
+/// session context's counter store, and produces [`MetricsSnapshot`]s.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     started: Instant,
-    next_id: AtomicU64,
-    sessions: Mutex<Vec<Arc<SessionCounters>>>,
+    /// Session `i + 1`'s counter store at index `i`.
+    sessions: Mutex<Vec<Arc<Counters>>>,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
         MetricsRegistry {
             started: Instant::now(),
-            next_id: AtomicU64::new(1),
             sessions: Mutex::new(Vec::new()),
         }
     }
 }
 
 impl MetricsRegistry {
-    /// Open a new counter cell (called once per session).
-    pub fn register_session(&self) -> Arc<SessionCounters> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let counters = Arc::new(SessionCounters::new(id));
-        self.sessions
-            .lock()
-            .expect("metrics registry poisoned")
-            .push(Arc::clone(&counters));
-        counters
+    /// Register a session's counter store (once per session); returns the
+    /// session's id (1-based, in open order).
+    pub fn register_session(&self, counters: Arc<Counters>) -> u64 {
+        let mut sessions = self.sessions.lock().expect("metrics registry poisoned");
+        sessions.push(counters);
+        sessions.len() as u64
     }
 
     /// Snapshot every session's counters together with the given pool
@@ -311,8 +153,16 @@ impl MetricsRegistry {
             .lock()
             .expect("metrics registry poisoned")
             .iter()
-            .map(|c| c.snapshot())
+            .zip(1..)
+            .map(|(c, id)| SessionMetrics {
+                id,
+                counts: c.snapshot(),
+            })
             .collect();
+        let totals = Counters::default();
+        for s in &sessions {
+            totals.add_all(&s.counts);
+        }
         let uptime = self.started.elapsed();
         let capacity = pool.threads as f64 * uptime.as_secs_f64();
         let utilization = if capacity > 0.0 {
@@ -321,17 +171,7 @@ impl MetricsRegistry {
             0.0
         };
         MetricsSnapshot {
-            queries: sessions.iter().map(|s| s.queries).sum(),
-            rows: sessions.iter().map(|s| s.rows).sum(),
-            conflicts: sessions.iter().map(|s| s.conflicts).sum(),
-            retries: sessions.iter().map(|s| s.retries).sum(),
-            queries_cancelled: sessions.iter().map(|s| s.queries_cancelled).sum(),
-            deadline_kills: sessions.iter().map(|s| s.deadline_kills).sum(),
-            mem_rejections: sessions.iter().map(|s| s.mem_rejections).sum(),
-            worker_panics: sessions.iter().map(|s| s.worker_panics).sum(),
-            spill_bytes: sessions.iter().map(|s| s.spill_bytes).sum(),
-            spill_partitions: sessions.iter().map(|s| s.spill_partitions).sum(),
-            decode_sinks: sessions.iter().map(|s| s.decode_sinks).sum(),
+            totals: totals.snapshot(),
             // storage footprint is a catalog property, filled in by
             // `Server::metrics_snapshot` (the registry has no catalog)
             storage_encoded_bytes: 0,
@@ -348,12 +188,18 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    /// Register a fresh counter store, as a session does.
+    fn open(reg: &MetricsRegistry) -> (u64, Arc<Counters>) {
+        let c = Arc::new(Counters::default());
+        (reg.register_session(Arc::clone(&c)), c)
+    }
+
     #[test]
     fn registry_assigns_ids_and_totals() {
         let reg = MetricsRegistry::default();
-        let a = reg.register_session();
-        let b = reg.register_session();
-        assert_eq!((a.id(), b.id()), (1, 2));
+        let (ida, a) = open(&reg);
+        let (idb, b) = open(&reg);
+        assert_eq!((ida, idb), (1, 2));
         a.record_query();
         a.record_rows(10);
         b.record_query();
@@ -375,7 +221,7 @@ mod tests {
     #[test]
     fn json_dump_is_wellformed() {
         let reg = MetricsRegistry::default();
-        let s = reg.register_session();
+        let (_, s) = open(&reg);
         s.record_query();
         s.record_rows(7);
         let json = reg
@@ -399,15 +245,17 @@ mod tests {
     #[test]
     fn governor_counters_roll_up() {
         let reg = MetricsRegistry::default();
-        let a = reg.register_session();
-        let b = reg.register_session();
-        a.record_cancelled();
-        a.record_deadline_kill();
-        a.record_deadline_kill();
-        b.record_mem_rejection();
-        b.record_worker_panic();
-        b.record_spill(4096, 8);
-        b.record_spill(1024, 2);
+        let (_, a) = open(&reg);
+        let (_, b) = open(&reg);
+        a.add(Counter::QueriesCancelled, 1);
+        a.add(Counter::DeadlineKills, 1);
+        a.add(Counter::DeadlineKills, 1);
+        b.add(Counter::MemRejections, 1);
+        b.add(Counter::WorkerPanics, 1);
+        b.add(Counter::SpillBytes, 4096);
+        b.add(Counter::SpillPartitions, 8);
+        b.add(Counter::SpillBytes, 1024);
+        b.add(Counter::SpillPartitions, 2);
         let snap = reg.snapshot(PoolStats {
             jobs_panicked: 3,
             ..PoolStats::default()

@@ -46,8 +46,59 @@ mod metrics;
 mod session;
 
 pub use catalog::{CatalogSnapshot, TableGeneration, VersionedCatalog};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, SessionCounters, SessionMetrics};
+pub use metrics::{MetricsRegistry, MetricsSnapshot, SessionMetrics};
 pub use session::{Server, Session};
+
+use crate::context::RmaContext;
+use crate::error::RmaError;
+use rma_relation::QueryGuard;
+use rma_storage::Counter;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Run one governed query on a session context — the wrapper every
+/// session frontend ([`Session`], the SQL `Engine`) executes through.
+/// `guard` is active for the whole `body` and its counters roll up into
+/// `ctx` when the query ends; an operator panic is caught *here* (never
+/// inside the pool, whose state stays clean) and returned as
+/// [`RmaError::WorkerPanicked`]; governor outcomes are counted into
+/// `ctx`. `rma_error` exposes the engine error an `E` carries, if any.
+pub fn serve<T, E: From<RmaError>>(
+    ctx: &RmaContext,
+    guard: QueryGuard,
+    body: impl FnOnce() -> Result<T, E>,
+    rma_error: impl Fn(&E) -> Option<&RmaError>,
+) -> Result<T, E> {
+    let counters = ctx.counters();
+    let result = {
+        let _query = ctx.enter(guard);
+        // AssertUnwindSafe: on unwind every structure the body borrows is
+        // either dropped (plan, guard) or internally synchronized and
+        // poison-free (catalog snapshot, pool, atomics), so nothing torn
+        // is ever observed afterwards
+        catch_unwind(AssertUnwindSafe(body))
+    };
+    let out = match result {
+        Ok(out) => out,
+        Err(payload) => {
+            counters.add(Counter::WorkerPanics, 1);
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            return Err(RmaError::WorkerPanicked { message }.into());
+        }
+    };
+    if let Some(e) = out.as_ref().err().and_then(&rma_error) {
+        match e {
+            RmaError::Cancelled => counters.add(Counter::QueriesCancelled, 1),
+            RmaError::DeadlineExceeded => counters.add(Counter::DeadlineKills, 1),
+            RmaError::ResourceExhausted { .. } => counters.add(Counter::MemRejections, 1),
+            _ => {}
+        }
+    }
+    out
+}
 
 #[cfg(test)]
 mod backoff_tests {

@@ -2,13 +2,13 @@
 //! catalog and the shared worker pool.
 
 use super::catalog::{CatalogSnapshot, VersionedCatalog};
-use super::metrics::{MetricsRegistry, MetricsSnapshot, SessionCounters};
-use super::{Backoff, ServeError};
+use super::metrics::{MetricsRegistry, MetricsSnapshot};
+use super::{serve, Backoff, ServeError};
 use crate::context::{ExecStats, RmaContext};
 use crate::error::RmaError;
 use crate::plan::{stats, Frame, PlanError};
 use rma_relation::{par::fault::FaultPlan, QueryGuard, Relation, SessionTicket};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use rma_storage::{Counter, Counters};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -56,9 +56,9 @@ impl Server {
     }
 
     /// The server's metrics registry. Frontends that build their own
-    /// session objects (e.g. the SQL engine) register their counter cell
-    /// here; everything opened through [`Server::session`] registers
-    /// automatically.
+    /// session objects (e.g. the SQL engine) register their context's
+    /// counter store here; everything opened through [`Server::session`]
+    /// registers automatically.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -101,11 +101,12 @@ impl Server {
     /// tickets by stride, so sessions share the pool proportionally
     /// regardless of submission order.
     pub fn session_with_budget(&self, seats: usize) -> Session {
+        let ctx = self.ctx.fork();
         Session {
             catalog: Arc::clone(&self.catalog),
-            ctx: self.ctx.fork(),
+            id: self.metrics.register_session(Arc::clone(ctx.counters())),
+            ctx,
             ticket: SessionTicket::new(seats),
-            counters: self.metrics.register_session(),
             deadline_ns: AtomicU64::new(0),
             mem_budget: AtomicU64::new(0),
             write_retry_limit: AtomicU32::new(DEFAULT_WRITE_RETRIES),
@@ -133,13 +134,15 @@ pub(crate) const DEFAULT_WRITE_RETRIES: u32 = 16;
 /// A session is `Sync` (queries may be issued from several threads of one
 /// client), but the intended concurrency unit is one session per
 /// connection: the session's [`SessionTicket`] is what the fair scheduler
-/// budgets, and its forked context is what its [`ExecStats`] attribute to.
+/// budgets, and its forked context's counter store is what its
+/// [`ExecStats`] and its server metrics attribute to.
 #[derive(Debug)]
 pub struct Session {
     catalog: Arc<VersionedCatalog>,
+    /// Registry-assigned id of this session's metrics entry.
+    id: u64,
     ctx: RmaContext,
     ticket: SessionTicket,
-    counters: Arc<SessionCounters>,
     /// Per-query deadline in nanoseconds (0 = none).
     deadline_ns: AtomicU64,
     /// Per-query memory budget in bytes (0 = inherit the context option,
@@ -181,13 +184,13 @@ impl Session {
     ///    budget, plus any armed fault plan) governs every morsel claim
     ///    and operator boundary; [`Session::cancel`] reaches it from any
     ///    thread.
-    /// 3. **Panic containment**: an operator panic is caught *here* —
-    ///    never inside the pool, whose own state stays clean — and
-    ///    returned as `RmaError::WorkerPanicked`.
-    /// 4. **Accounting**: every governor action increments its
-    ///    [`SessionCounters`] counter.
+    /// 3. **Panic containment and accounting** ([`serve`]): an operator
+    ///    panic is returned as `RmaError::WorkerPanicked`, every governor
+    ///    action is counted, and the query's own counters (spill, decode
+    ///    sinks) roll up into the session's store.
     pub fn query_at(&self, snap: &CatalogSnapshot, frame: Frame) -> Result<Relation, PlanError> {
-        self.counters.record_query();
+        let counters = self.ctx.counters();
+        counters.record_query();
         let budget = self.effective_mem_budget();
         if budget > 0 {
             let est = stats::estimate(frame.logical_plan(), snap);
@@ -201,7 +204,7 @@ impl Session {
             // out-of-core operators bound its resident working set, so
             // "too big for memory" now means "runs spilled", not "rejected"
             if est_bytes > budget && !crate::plan::spillable(frame.logical_plan()) {
-                self.counters.record_mem_rejection();
+                counters.add(Counter::MemRejections, 1);
                 return Err(PlanError::Rma(RmaError::ResourceExhausted {
                     needed: est_bytes,
                     budget,
@@ -220,49 +223,21 @@ impl Session {
             None => QueryGuard::with_limits(deadline, budget),
         };
         *self.active.lock().expect("session guard slot poisoned") = Some(guard.clone());
-        let sinks0 = rma_storage::decode_sink_events();
-        let result = {
-            let _seat = self.ticket.activate();
-            let _gov = guard.activate();
-            // AssertUnwindSafe: on Err every captured structure is either
-            // dropped (frame, guard) or internally synchronized and
-            // poison-free (catalog snapshot, pool, atomics), so nothing
-            // torn is ever observed afterwards
-            catch_unwind(AssertUnwindSafe(|| frame.collect_with(&self.ctx, snap)))
-        };
+        let out = serve(
+            &self.ctx,
+            guard,
+            || {
+                let _seat = self.ticket.activate();
+                frame.collect_with(&self.ctx, snap)
+            },
+            |e| match e {
+                PlanError::Rma(e) => Some(e),
+                _ => None,
+            },
+        );
         *self.active.lock().expect("session guard slot poisoned") = None;
-        let (spill_bytes, spill_parts) = (guard.spill_bytes(), guard.spill_partitions());
-        if spill_bytes > 0 || spill_parts > 0 {
-            self.counters.record_spill(spill_bytes, spill_parts);
-        }
-        // process-global monotonic counter: concurrent sessions may
-        // attribute each other's sinks, fine for the aggregate signal
-        let sinks = rma_storage::decode_sink_events().saturating_sub(sinks0);
-        if sinks > 0 {
-            self.counters.record_decode_sinks(sinks);
-        }
-        let out = match result {
-            Ok(r) => r,
-            Err(payload) => {
-                self.counters.record_worker_panic();
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                return Err(PlanError::Rma(RmaError::WorkerPanicked { message }));
-            }
-        };
-        match &out {
-            Err(PlanError::Rma(RmaError::Cancelled)) => self.counters.record_cancelled(),
-            Err(PlanError::Rma(RmaError::DeadlineExceeded)) => self.counters.record_deadline_kill(),
-            Err(PlanError::Rma(RmaError::ResourceExhausted { .. })) => {
-                self.counters.record_mem_rejection()
-            }
-            _ => {}
-        }
         let out = out?;
-        self.counters.record_rows(out.len() as u64);
+        counters.record_rows(out.len() as u64);
         Ok(out)
     }
 
@@ -349,7 +324,7 @@ impl Session {
             match self.catalog.commit(table, generation.generation(), next) {
                 Ok(version) => return Ok(version),
                 Err(ServeError::WriteConflict { .. }) => {
-                    self.counters.record_conflict();
+                    self.ctx.counters().record_conflict();
                     if attempt < limit {
                         backoff.sleep();
                     }
@@ -383,11 +358,17 @@ impl Session {
         &self.ticket
     }
 
-    /// The session's metrics counter cell (queries, rows, conflicts,
-    /// retries) — the same cell the server's
-    /// [`MetricsRegistry`](super::MetricsRegistry) snapshots.
-    pub fn counters(&self) -> &Arc<SessionCounters> {
-        &self.counters
+    /// The session's id in the server's
+    /// [`MetricsRegistry`](super::MetricsRegistry).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The session's counter store (its context's): execution counters
+    /// plus queries, rows, conflicts and governor actions — the same store
+    /// the server's [`MetricsRegistry`](super::MetricsRegistry) snapshots.
+    pub fn counters(&self) -> &Arc<Counters> {
+        self.ctx.counters()
     }
 
     /// The session's private execution context (shared pool, own stats).

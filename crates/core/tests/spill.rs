@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rma_core::serve::Server;
-use rma_core::{Backend, Frame, PlanError, RmaContext, RmaError, RmaOptions, Session};
+use rma_core::{Backend, Counter, Frame, PlanError, RmaContext, RmaError, RmaOptions, Session};
 use rma_relation::par::fault::{FaultKind, FaultPlan};
 use rma_relation::{live_spill_files, AggSpec, QueryGuard, Relation, RelationBuilder};
 use rma_storage::{Bitmap, Column, ColumnData};
@@ -25,7 +25,7 @@ fn session_spill(server: &Server, s: &Session) -> (u64, u64, u64) {
     let m = snap
         .sessions
         .iter()
-        .find(|m| m.id == s.counters().id())
+        .find(|m| m.id == s.id())
         .expect("session is registered");
     (m.spill_bytes, m.spill_partitions, m.mem_rejections)
 }
@@ -368,7 +368,11 @@ fn operator_charges_are_scoped_not_cumulative() {
         0,
         "operator charges must be released when the operator completes"
     );
-    assert_eq!(guard.spill_bytes(), 0, "this budget must not force a spill");
+    assert_eq!(
+        guard.counters().get(Counter::SpillBytes),
+        0,
+        "this budget must not force a spill"
+    );
 
     // top-k: 8 B × n × threads, charged, never spilled — pin it
     let ctx = RmaContext::new(RmaOptions {

@@ -91,6 +91,7 @@
 //! spurious budget breaches for robustness tests.
 
 use crate::trace;
+use rma_storage::counters::{self, Counters};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -319,10 +320,10 @@ struct GuardInner {
     /// (0 = none). Keeps the guard tripped after a breach so workers that
     /// stopped claiming mid-job always surface the typed error.
     breach_needed: AtomicU64,
-    /// Bytes written to spill files by out-of-core operators.
-    spill_bytes: AtomicU64,
-    /// Spill partitions / sorted runs written by out-of-core operators.
-    spill_partitions: AtomicU64,
+    /// The query's own counters: installed wherever the guard is
+    /// activated, so code below it ([`counters::bump`]) reaches them on
+    /// any thread.
+    counters: Arc<Counters>,
     /// Optional deterministic fault plan ([`fault`]).
     fault: Option<fault::FaultPlan>,
 }
@@ -371,21 +372,19 @@ impl QueryGuard {
     /// budget in bytes (`0` = unlimited). Picks up a fault plan from the
     /// `RMA_FAULT` environment knob when one is set ([`fault::from_env`]).
     pub fn with_limits(deadline: Option<Duration>, mem_budget: u64) -> Self {
-        QueryGuard(Arc::new(GuardInner {
-            cancelled: AtomicBool::new(false),
-            started: Instant::now(),
-            deadline_ns: AtomicU64::new(deadline.map_or(0, |d| (d.as_nanos() as u64).max(1))),
-            mem_budget: AtomicU64::new(mem_budget),
-            mem_used: AtomicU64::new(0),
-            breach_needed: AtomicU64::new(0),
-            spill_bytes: AtomicU64::new(0),
-            spill_partitions: AtomicU64::new(0),
-            fault: fault::from_env(),
-        }))
+        QueryGuard::minted(deadline, mem_budget, fault::from_env())
     }
 
     /// A guard with an explicit fault-injection plan (tests; see [`fault`]).
     pub fn with_fault(deadline: Option<Duration>, mem_budget: u64, plan: fault::FaultPlan) -> Self {
+        QueryGuard::minted(deadline, mem_budget, Some(plan))
+    }
+
+    fn minted(
+        deadline: Option<Duration>,
+        mem_budget: u64,
+        fault: Option<fault::FaultPlan>,
+    ) -> Self {
         QueryGuard(Arc::new(GuardInner {
             cancelled: AtomicBool::new(false),
             started: Instant::now(),
@@ -393,9 +392,8 @@ impl QueryGuard {
             mem_budget: AtomicU64::new(mem_budget),
             mem_used: AtomicU64::new(0),
             breach_needed: AtomicU64::new(0),
-            spill_bytes: AtomicU64::new(0),
-            spill_partitions: AtomicU64::new(0),
-            fault: Some(plan),
+            counters: Arc::default(),
+            fault,
         }))
     }
 
@@ -488,24 +486,10 @@ impl QueryGuard {
         budget == 0 || self.mem_used().saturating_add(bytes) <= budget
     }
 
-    /// Bytes written to spill files so far ([`QueryGuard::record_spill`]).
-    pub fn spill_bytes(&self) -> u64 {
-        self.0.spill_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Spill partitions / sorted runs written so far.
-    pub fn spill_partitions(&self) -> u64 {
-        self.0.spill_partitions.load(Ordering::Relaxed)
-    }
-
-    /// Account `bytes` written to disk across `partitions` new spill
-    /// partitions (or sorted runs). Spilled bytes are *disk* footprint and
-    /// are never charged against the memory budget.
-    pub fn record_spill(&self, bytes: u64, partitions: u64) {
-        self.0.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.0
-            .spill_partitions
-            .fetch_add(partitions, Ordering::Relaxed);
+    /// The query's own counters (spill bytes and partitions, decode
+    /// sinks, …), filled by whatever ran under this guard on any thread.
+    pub fn counters(&self) -> &Arc<Counters> {
+        &self.0.counters
     }
 
     /// The per-morsel poll: run the fault plan (may panic, sleep, or force
@@ -537,12 +521,16 @@ impl QueryGuard {
             .store(self.mem_used().max(1), Ordering::Relaxed);
     }
 
-    /// Mark the current thread as executing under this guard until the
+    /// Mark the current thread as executing under this guard — and route
+    /// its [`counters::bump`]s to the guard's counters — until the
     /// returned RAII guard drops. Nested activations stack (innermost
     /// wins), mirroring [`SessionTicket::activate`].
     pub fn activate(&self) -> ActiveGuard {
         let prev = ACTIVE_GUARD.with(|c| c.replace(Some(self.clone())));
-        ActiveGuard { prev }
+        ActiveGuard {
+            prev,
+            _counters: counters::install(Arc::clone(&self.0.counters)),
+        }
     }
 }
 
@@ -556,6 +544,7 @@ thread_local! {
 #[must_use = "the query guard is only active while this value lives"]
 pub struct ActiveGuard {
     prev: Option<QueryGuard>,
+    _counters: counters::Installed,
 }
 
 impl Drop for ActiveGuard {

@@ -29,8 +29,9 @@
 //!
 //! Every chunk write polls the active [`QueryGuard`](crate::par::QueryGuard)
 //! (so cancellation and deadlines stop a spilling query within one chunk's
-//! work), runs the spill-I/O fault hook (`RMA_FAULT=io@N`), and records the
-//! bytes written through [`QueryGuard::record_spill`](crate::par::QueryGuard::record_spill).
+//! work), runs the spill-I/O fault hook (`RMA_FAULT=io@N`), and counts the
+//! bytes written on the running query's counters
+//! ([`Counter::SpillBytes`], [`Counter::SpillPartitions`]).
 //! Spilled bytes are *disk* footprint: they are never charged against the
 //! memory budget — that is the whole point of spilling.
 
@@ -38,6 +39,7 @@ use crate::error::RelationError;
 use crate::par::current_guard;
 use crate::relation::Relation;
 use crate::schema::Schema;
+use rma_storage::counters::{self, Counter};
 use rma_storage::{Bitmap, Column, ColumnData, Dict, Packed, Rle, Seg};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -117,8 +119,8 @@ impl SpillFile {
     /// Append one chunk (a view is materialized first). Polls the active
     /// guard — a cancelled or expired query stops here, and the armed
     /// spill-I/O fault (`RMA_FAULT=io@N`) fails the matching write with
-    /// [`RelationError::SpillIo`]. Records bytes (and, on the first chunk,
-    /// one partition) on the guard's spill counters.
+    /// [`RelationError::SpillIo`]. Counts bytes (and, on the first chunk,
+    /// one partition) on the running query's counters.
     pub fn append(&mut self, chunk: &Relation) -> Result<(), RelationError> {
         let guard = current_guard();
         if let Some(g) = &guard {
@@ -139,9 +141,8 @@ impl SpillFile {
         // flush per chunk so readers never see a short file — chunks are
         // large, so the buffered tail is noise
         w.flush().map_err(io_err)?;
-        if let Some(g) = &guard {
-            g.record_spill(buf.len() as u64, u64::from(self.chunks == 0));
-        }
+        counters::bump(Counter::SpillBytes, buf.len() as u64);
+        counters::bump(Counter::SpillPartitions, u64::from(self.chunks == 0));
         self.bytes += buf.len() as u64;
         self.rows += m.len();
         self.chunks += 1;
@@ -670,7 +671,8 @@ mod tests {
             expect.iter().any(|e| *e != Encoding::Plain),
             "workload failed to encode: {expect:?}"
         );
-        let sinks0 = rma_storage::decode_sink_events();
+        let guard = crate::par::QueryGuard::new();
+        let _active = guard.activate();
         let mut f = SpillFile::create().unwrap();
         // a compact chunk spills every physical form as-is; a sliced view
         // exercises the run/code slicing path on the way in
@@ -683,8 +685,8 @@ mod tests {
             chunks.push(c);
         }
         assert_eq!(
-            rma_storage::decode_sink_events(),
-            sinks0,
+            guard.counters().get(Counter::DecodeSinks),
+            0,
             "spilling encoded chunks must not force a decode"
         );
         assert_eq!(chunks.len(), 2);

@@ -8,10 +8,9 @@ use crate::optimizer::optimize;
 use crate::parser::{parse, parse_script};
 use crate::plan::{explain_with_stats, plan_select, Plan};
 use rma_core::plan::explain_analyze;
-use rma_core::serve::{Backoff, Server, SessionCounters};
-use rma_core::{RmaContext, RmaError, RmaOptions, ServeError};
+use rma_core::serve::{serve, Backoff, Server};
+use rma_core::{Counters, RmaContext, RmaOptions, ServeError};
 use rma_relation::{Relation, Schema, SessionTicket};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Result of executing one statement.
@@ -40,9 +39,9 @@ impl QueryResult {
 /// A private engine ([`Engine::new`]) owns its catalog; a *session* engine
 /// ([`Engine::session`]) attaches to a [`Server`]'s shared versioned
 /// catalog, executes on the server's worker pool under its own fair-
-/// scheduling ticket, and records statistics into its own forked context —
-/// many session engines on different threads serve one database
-/// concurrently.
+/// scheduling ticket, and counts into its own forked context, whose
+/// counter store the server's metrics registry reads — many session
+/// engines on different threads serve one database concurrently.
 #[derive(Debug)]
 pub struct Engine {
     pub catalog: Catalog,
@@ -50,15 +49,17 @@ pub struct Engine {
     /// The fair-scheduling ticket this engine's queries run under (seat
     /// budget + stride pass; unlimited for private engines).
     ticket: SessionTicket,
-    /// Session-engine metrics cell, registered with the server's
-    /// [`MetricsRegistry`](rma_core::MetricsRegistry); `None` for private
-    /// engines.
-    counters: Option<Arc<SessionCounters>>,
+    /// The id under which the context's counter store is registered with
+    /// the server's [`MetricsRegistry`](rma_core::MetricsRegistry); `None`
+    /// for private engines.
+    session_id: Option<u64>,
     /// Disable the optimizer to measure its effect (ablation benches).
     pub optimize: bool,
     /// Cap on optimistic-commit attempts per `INSERT` before the engine
-    /// gives up with [`RmaError::WriteContention`] (default 16; `0`
-    /// behaves as 1 — at least one attempt, never infinite).
+    /// gives up with
+    /// [`RmaError::WriteContention`](rma_core::RmaError::WriteContention)
+    /// (default 16; `0` behaves as 1 — at least one attempt, never
+    /// infinite).
     pub write_retry_limit: u32,
 }
 
@@ -83,7 +84,7 @@ impl Engine {
             catalog: Catalog::new(),
             rma: RmaContext::new(options),
             ticket: SessionTicket::new(0),
-            counters: None,
+            session_id: None,
             optimize: true,
             write_retry_limit: DEFAULT_WRITE_RETRIES,
         }
@@ -101,68 +102,43 @@ impl Engine {
     /// A session engine with an explicit seat budget (`0` = no limit; `1`
     /// runs every morsel job inline on the issuing thread).
     pub fn session_with_budget(server: &Server, seats: usize) -> Self {
+        let rma = server.context().fork();
         Engine {
             catalog: Catalog::attached(Arc::clone(server.catalog())),
-            rma: server.context().fork(),
+            session_id: Some(
+                server
+                    .metrics()
+                    .register_session(Arc::clone(rma.counters())),
+            ),
+            rma,
             ticket: SessionTicket::new(seats),
-            counters: Some(server.metrics().register_session()),
             optimize: true,
             write_retry_limit: DEFAULT_WRITE_RETRIES,
         }
     }
 
-    /// The engine's metrics counter cell — `Some` for session engines
-    /// (registered with the server's metrics registry), `None` for private
-    /// engines.
-    pub fn counters(&self) -> Option<&Arc<SessionCounters>> {
-        self.counters.as_ref()
+    /// The engine's registered counter store — `Some` for session
+    /// engines (the store the server's metrics registry reads), `None` for
+    /// private engines.
+    pub fn counters(&self) -> Option<&Arc<Counters>> {
+        self.session_id.map(|_| self.rma.counters())
     }
 
-    fn count_query(&self) {
-        if let Some(c) = &self.counters {
-            c.record_query();
-        }
-    }
-
-    fn count_rows(&self, n: usize) {
-        if let Some(c) = &self.counters {
-            c.record_rows(n as u64);
-        }
-    }
-
-    /// Run one plan execution with the resource-governor contract: an
-    /// operator panic is caught *here* — the worker pool and shared
-    /// catalog stay clean — and surfaces as the typed
-    /// [`RmaError::WorkerPanicked`]; governance errors (cancellation,
-    /// deadline kills, budget breaches) are classified into the session's
-    /// metrics cell on the way out.
+    /// Run one statement's plan execution through [`serve`]: under a guard
+    /// minted from the engine's options and the engine's seat ticket (so
+    /// every morsel job the plan submits is seat-budgeted and fairly
+    /// interleaved with other sessions' jobs), with an operator panic
+    /// surfaced as the typed `RmaError::WorkerPanicked` and governance
+    /// errors (cancellation, deadline kills, budget breaches) counted.
     fn contain<T>(&self, body: impl FnOnce() -> Result<T, SqlError>) -> Result<T, SqlError> {
-        // AssertUnwindSafe: on unwind the body's borrows (catalog, context,
-        // ticket) are all internally synchronized or append-only; nothing
-        // half-mutated survives the catch
-        let out = match catch_unwind(AssertUnwindSafe(body)) {
-            Ok(r) => r,
-            Err(payload) => {
-                if let Some(c) = &self.counters {
-                    c.record_worker_panic();
-                }
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                return Err(SqlError::Rma(RmaError::WorkerPanicked { message }));
-            }
+        let seated = || {
+            let _seat = self.ticket.activate();
+            body()
         };
-        if let (Some(c), Err(SqlError::Rma(e))) = (&self.counters, &out) {
-            match e {
-                RmaError::Cancelled => c.record_cancelled(),
-                RmaError::DeadlineExceeded => c.record_deadline_kill(),
-                RmaError::ResourceExhausted { .. } => c.record_mem_rejection(),
-                _ => {}
-            }
-        }
-        out
+        serve(&self.rma, self.rma.query_guard(), seated, |e| match e {
+            SqlError::Rma(e) => Some(e),
+            _ => None,
+        })
     }
 
     /// Engine with an explicit worker-thread count for plan execution
@@ -238,12 +214,15 @@ impl Engine {
             }
         };
         self.catalog.refresh();
-        let plan = self.build_plan(&sel)?;
+        self.analyze(&sel)
+    }
+
+    /// Execute `sel` with per-node profiling; the annotated plan text.
+    fn analyze(&self, sel: &crate::ast::SelectStmt) -> Result<String, SqlError> {
+        let plan = self.build_plan(sel)?;
         let actuals = self.contain(|| {
-            let _seat = self.ticket.activate();
-            self.count_query();
-            let (_, actuals) = execute_analyzed(&plan, &self.catalog, &self.rma)?;
-            Ok(actuals)
+            self.rma.counters().record_query();
+            Ok(execute_analyzed(&plan, &self.catalog, &self.rma)?.1)
         })?;
         Ok(explain_analyze(&plan, &self.catalog, &actuals))
     }
@@ -267,46 +246,17 @@ impl Engine {
             Statement::Select(sel) => {
                 let plan = self.build_plan(&sel)?;
                 let rel = self.contain(|| {
-                    // the session ticket is active for the whole execution,
-                    // so every morsel job the plan submits is seat-budgeted
-                    // and fairly interleaved with other sessions' jobs
-                    let _seat = self.ticket.activate();
-                    self.count_query();
+                    self.rma.counters().record_query();
                     // the query result is a pipeline sink: compact any
                     // selection-vector view before handing it to the caller
                     Ok(execute(&plan, &self.catalog, &self.rma)?.materialize())
                 })?;
-                self.count_rows(rel.len());
+                self.rma.counters().record_rows(rel.len() as u64);
                 Ok(QueryResult::Relation(rel))
             }
-            Statement::ExplainAnalyze(sel) => {
-                let plan = self.build_plan(&sel)?;
-                let lines: Vec<String> = self.contain(|| {
-                    let _seat = self.ticket.activate();
-                    self.count_query();
-                    let (_, actuals) = execute_analyzed(&plan, &self.catalog, &self.rma)?;
-                    Ok(explain_analyze(&plan, &self.catalog, &actuals)
-                        .lines()
-                        .map(str::to_string)
-                        .collect())
-                })?;
-                let rel = rma_relation::RelationBuilder::new()
-                    .column("plan", lines)
-                    .build()
-                    .map_err(SqlError::Relation)?;
-                Ok(QueryResult::Relation(rel))
-            }
+            Statement::ExplainAnalyze(sel) => plan_relation(&self.analyze(&sel)?),
             Statement::Explain(sel) => {
-                let plan = self.build_plan(&sel)?;
-                let lines: Vec<String> = explain_with_stats(&plan, &self.catalog)
-                    .lines()
-                    .map(str::to_string)
-                    .collect();
-                let rel = rma_relation::RelationBuilder::new()
-                    .column("plan", lines)
-                    .build()
-                    .map_err(SqlError::Relation)?;
-                Ok(QueryResult::Relation(rel))
+                plan_relation(&explain_with_stats(&self.build_plan(&sel)?, &self.catalog))
             }
             Statement::CreateTable {
                 name,
@@ -334,10 +284,8 @@ impl Engine {
                 or_replace,
             } => {
                 let plan = self.build_plan(&query)?;
-                let rel = self.contain(|| {
-                    let _seat = self.ticket.activate();
-                    Ok(execute(&plan, &self.catalog, &self.rma)?.materialize())
-                })?;
+                let rel =
+                    self.contain(|| Ok(execute(&plan, &self.catalog, &self.rma)?.materialize()))?;
                 let n = rel.len();
                 if or_replace {
                     self.catalog.put(&name, rel);
@@ -375,9 +323,7 @@ impl Engine {
                             break;
                         }
                         Err(ServeError::WriteConflict { .. }) => {
-                            if let Some(c) = &self.counters {
-                                c.record_conflict();
-                            }
+                            self.rma.counters().record_conflict();
                             if attempt < limit {
                                 backoff.sleep();
                             }
@@ -405,9 +351,21 @@ impl Engine {
     }
 }
 
+/// A one-column `plan` relation holding `text`'s lines (the result shape
+/// of `EXPLAIN` and `EXPLAIN ANALYZE`).
+fn plan_relation(text: &str) -> Result<QueryResult, SqlError> {
+    let lines: Vec<&str> = text.lines().collect();
+    let rel = rma_relation::RelationBuilder::new()
+        .column("plan", lines)
+        .build()
+        .map_err(SqlError::Relation)?;
+    Ok(QueryResult::Relation(rel))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rma_core::RmaError;
     use rma_storage::Value;
 
     fn engine_with_rating() -> Engine {

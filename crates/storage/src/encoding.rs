@@ -14,30 +14,33 @@
 //!
 //! Every encoded payload carries a lazily-filled decode cache: the first
 //! caller that needs the plain form (a *sink* — see ARCHITECTURE.md
-//! "Storage encodings") pays one decompression, is counted by the global
-//! [`decode_sink_events`] counter, and every later caller shares the
+//! "Storage encodings") pays one decompression, is counted once by the
+//! process-wide [`decode_sink_events`] total and once on the running
+//! query's [`Counter::DecodeSinks`], and every later caller shares the
 //! cached plain vector. Kernels that stay on the encoded form never touch
 //! the cache, which is what the zero-sink acceptance tests assert.
 
 use crate::column::ColumnData;
+use crate::counters::{self, Counter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide count of forced decode sinks: how many encoded payloads
 /// have had their plain-form cache filled because some consumer needed
 /// the decoded vector. One fill counts once no matter how many readers
-/// share the cache afterwards. Observable through `EXPLAIN ANALYZE` and
-/// the serve-layer metrics JSON; regressions to eager decompression show
+/// share the cache afterwards. Regressions to eager decompression show
 /// up here.
 static DECODE_SINKS: AtomicU64 = AtomicU64::new(0);
 
-/// Current value of the global decode-sink counter.
+/// Current value of the process-wide decode-sink total.
 pub fn decode_sink_events() -> u64 {
     DECODE_SINKS.load(Ordering::Relaxed)
 }
 
+/// The first query to fill a payload's decode cache pays the sink.
 fn count_decode_sink() {
     DECODE_SINKS.fetch_add(1, Ordering::Relaxed);
+    counters::bump(Counter::DecodeSinks, 1);
 }
 
 /// Which physical encoding a column's storage uses.

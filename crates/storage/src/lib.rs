@@ -18,6 +18,7 @@ pub mod access;
 pub mod bat;
 pub mod bitmap;
 pub mod column;
+pub mod counters;
 pub mod encoding;
 pub mod error;
 pub mod order;
@@ -29,6 +30,7 @@ pub use access::{ColumnAccessor, FloatsRef, IntsRef, StrsRef};
 pub use bat::{cmp_rows, invert_permutation, is_identity_permutation, Bat};
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData};
+pub use counters::{Counter, CounterSnapshot, Counters};
 pub use encoding::{decode_sink_events, Dict, Encoding, Packed, Rle, Seg};
 pub use error::StorageError;
 pub use order::{is_key, key_order, same_keys, sort_permutation, KeyOrder};
