@@ -766,7 +766,7 @@ fn joinorder(scale: usize, gate: &mut Gate) {
 
 /// Parallel sort / top-k (PR 5): `ORDER BY` and `ORDER BY .. LIMIT k`
 /// through the lazy plan, serial (1 thread) vs the worker pool's parallel
-/// sort (per-worker local sorts + k-way merge) and top-k (per-worker
+/// sort (key-range buckets sorted per pool item) and top-k (per-worker
 /// bounded heaps merged at the barrier). Asserts checksum parity and emits
 /// BENCH_sort.json.
 fn sort_bench(scale: usize, gate: &mut Gate) {

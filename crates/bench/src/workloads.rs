@@ -1030,8 +1030,8 @@ fn ordered_checksum(out: &Relation) -> i64 {
 
 /// One `ORDER BY s ASC, m DESC` over the full table through the lazy plan
 /// at a given worker-thread count (`1` = the serial sort; above, the
-/// pool's per-worker local sorts + k-way merge). Returns (wall time,
-/// position-sensitive checksum).
+/// pool's range-partitioned sort: key-range buckets sorted per pool item
+/// and concatenated). Returns (wall time, position-sensitive checksum).
 pub fn run_sort(table: &Relation, threads: usize) -> (Duration, i64) {
     let ctx = RmaContext::new(RmaOptions {
         threads,

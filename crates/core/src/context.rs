@@ -48,10 +48,6 @@ pub struct RmaOptions {
     pub backend: Backend,
     /// Order-schema sorting policy (§8.1).
     pub sort_policy: SortPolicy,
-    /// Auto-policy memory budget for the dense copy, in bytes. When the
-    /// estimated dense working set exceeds it, the BAT kernel is used
-    /// (mirroring the paper's switch to BATs when MKL would not fit).
-    pub dense_memory_budget: usize,
     /// Worker threads for *plan execution*. Sizes the context's session
     /// [`WorkerPool`] (created at context construction; contexts at the
     /// default count share one process-wide pool). With `threads > 1` the
@@ -75,8 +71,9 @@ pub struct RmaOptions {
     /// materialization point (hash-join builds, sort permutations,
     /// aggregate states, the final `materialize()`); a breach aborts the
     /// query with `RmaError::ResourceExhausted` within one morsel's work.
-    /// Distinct from [`RmaOptions::dense_memory_budget`], which only
-    /// steers the BAT-vs-dense kernel choice and never fails a query.
+    /// The same budget steers [`Backend::Auto`]'s kernel choice: a dense
+    /// copy that would not fit it takes the no-copy BAT kernel
+    /// ([`RmaContext::choose_kernel`]).
     pub mem_budget: usize,
     /// Per-query deadline for the resource governor (`None` = no
     /// deadline). Measured from the start of each plan execution; a query
@@ -91,7 +88,6 @@ impl Default for RmaOptions {
         RmaOptions {
             backend: Backend::Auto,
             sort_policy: SortPolicy::Optimized,
-            dense_memory_budget: 8 << 30, // 8 GiB
             threads: default_threads(),
             join_reorder: true,
             mem_budget: 0,
@@ -99,6 +95,10 @@ impl Default for RmaOptions {
         }
     }
 }
+
+/// The dense-copy budget [`Backend::Auto`] assumes when no memory budget
+/// is set (`mem_budget == 0`, unlimited).
+const UNLIMITED_DENSE_COPY: u64 = 8 << 30; // 8 GiB
 
 /// The default worker-thread count for plan execution: exactly the dense
 /// kernels' process-wide budget ([`rma_linalg::available_threads`] —
@@ -385,7 +385,9 @@ impl RmaContext {
     /// Decide the kernel for an operation on an `m × n` application part
     /// (plus the second operand's application dimensions for binary ops)
     /// under the configured policy. Public so the plan-level optimizer can
-    /// make the same choice ahead of execution.
+    /// make the same choice ahead of execution. [`Backend::Auto`] weighs
+    /// the dense copy against the query's memory budget (§7): the active
+    /// guard's when a session set one, else [`RmaOptions::mem_budget`].
     pub fn choose_kernel(
         &self,
         op: RmaOp,
@@ -407,8 +409,17 @@ impl RmaContext {
                     if let Some((m2, n2)) = second {
                         cells += m2 * n2;
                     }
-                    let est = 2 * cells * std::mem::size_of::<f64>();
-                    if est <= self.options.dense_memory_budget {
+                    let est = (2 * cells * std::mem::size_of::<f64>()) as u64;
+                    let budget = rma_relation::current_guard()
+                        .map(|g| g.mem_budget())
+                        .filter(|&b| b > 0)
+                        .unwrap_or(self.options.mem_budget as u64);
+                    let budget = if budget == 0 {
+                        UNLIMITED_DENSE_COPY
+                    } else {
+                        budget
+                    };
+                    if est <= budget {
                         Backend::Dense
                     } else {
                         Backend::Bat
@@ -444,7 +455,7 @@ mod tests {
     #[test]
     fn auto_policy_respects_memory_budget() {
         let ctx = RmaContext::new(RmaOptions {
-            dense_memory_budget: 1 << 20, // 1 MiB
+            mem_budget: 1 << 20, // 1 MiB
             ..RmaOptions::default()
         });
         // 1M × 10 doubles ≈ 80 MB > 1 MiB → BAT
@@ -460,7 +471,7 @@ mod tests {
         // 60 KiB budget: one 32×100 operand copies in 2·32·100·8 ≈ 50 KiB,
         // but mmu's second operand of the same size pushes past the budget.
         let ctx = RmaContext::new(RmaOptions {
-            dense_memory_budget: 60 << 10,
+            mem_budget: 60 << 10,
             ..RmaOptions::default()
         });
         assert_eq!(ctx.choose_kernel(RmaOp::Mmu, 32, 100, None), Backend::Dense);

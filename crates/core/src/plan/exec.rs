@@ -15,9 +15,12 @@
 //!
 //! Profiling: [`execute_analyzed`] runs the same interpreter with a
 //! per-node actuals recorder — output rows, inclusive wall time, and the
-//! morsel count the operator dispatched — in the exact pre-order the
-//! EXPLAIN tree prints nodes, which is what `EXPLAIN ANALYZE` joins back
-//! onto the cost-annotated rendering. Analyzed and plain runs execute the
+//! morsels the node's own operator dispatched — in the exact pre-order
+//! the EXPLAIN tree prints nodes, which is what `EXPLAIN ANALYZE` joins
+//! back onto the cost-annotated rendering. The morsel count is read off
+//! the query's [`Counter::Morsels`] (bumped by the pool where items are
+//! claimed) around the operator call, so it is what ran, not a guess at
+//! each operator's serial fallback. Analyzed and plain runs execute the
 //! same operators, so the profile is of the plan that production runs;
 //! span recording ([`rma_relation::trace`]) is active in both modes
 //! whenever a collector is installed.
@@ -27,19 +30,21 @@
 //! and top-k each estimate their working set and charge it for their own
 //! lifetime; when the estimate does not fit the guard's headroom, the
 //! aggregate, the joins, and the sort run their spilling variant
-//! (partitioned aggregate, grace hash join, external merge sort) instead
-//! of failing the query. Spilled bytes are never charged against the
-//! budget; the spill writer counts them on the query's own counters
-//! ([`rma_relation::QueryGuard::counters`]), which roll up into the
-//! context's [`crate::context::ExecStats`] when the query ends and read
-//! out per node as [`NodeActual`] deltas.
+//! (partitioned aggregate, grace hash join, external sort) instead of
+//! failing the query. All three share one shape: one partition step (key
+//! hash buckets, or key-range buckets for the sort), the in-memory kernel
+//! per partition, and a concatenation. Spilled bytes are never charged
+//! against the budget; the spill writer counts them on the query's own
+//! counters ([`rma_relation::QueryGuard::counters`]), which roll up into
+//! the context's [`crate::context::ExecStats`] when the query ends and
+//! read out per node as [`NodeActual`] deltas.
 
 use super::{LogicalPlan, PlanError, TableProvider};
 use crate::context::{QueryScope, RmaContext};
 use crate::error::RmaError;
 use rma_relation::trace;
-use rma_relation::{self as rel, morsel_count, par::MIN_PARALLEL_ROWS, Relation};
-use rma_storage::CounterSnapshot;
+use rma_relation::{self as rel, Relation};
+use rma_storage::{Counter, CounterSnapshot};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -92,8 +97,8 @@ pub struct NodeActual {
     pub rows: u64,
     /// Inclusive wall time (the node and its subtree), in nanoseconds.
     pub nanos: u64,
-    /// Morsels the operator dispatched (1 for serial operators and inputs
-    /// below the parallel threshold).
+    /// Pool items the node's own operator dispatched, children excluded
+    /// (1 when it dispatched none: serial operators, small inputs).
     pub morsels: u64,
     /// What the node's subtree added to the query's own counters
     /// (inclusive, like `nanos`): spill bytes and partitions, decode
@@ -116,23 +121,20 @@ pub fn execute_analyzed(
     Ok((out, actuals.into_inner()))
 }
 
-/// The morsel count a claim-based parallel operator dispatches over `len`
-/// input rows — 1 whenever the operator would take the serial path.
-fn par_morsels(threads: usize, len: usize) -> u64 {
-    if threads > 1 && len >= MIN_PARALLEL_ROWS {
-        morsel_count(threads, len) as u64
-    } else {
-        1
-    }
+/// Morsels the running query has dispatched so far ([`Counter::Morsels`],
+/// bumped by the pool where items are claimed).
+fn query_morsels() -> u64 {
+    rel::current_guard().map_or(0, |g| g.counters().get(Counter::Morsels))
 }
 
-/// The run ("range-per-worker") count the parallel sort/top-k dispatches.
-fn sort_morsels(threads: usize, len: usize) -> u64 {
-    if threads > 1 && len >= MIN_PARALLEL_ROWS {
-        threads as u64
-    } else {
-        1
-    }
+/// Run a node's own operator (its inputs already computed) and set
+/// `morsels` to the pool items it dispatched — children excluded — or 1
+/// when it dispatched none.
+fn dispatched<T>(morsels: &mut u64, op: impl FnOnce() -> T) -> T {
+    let before = query_morsels();
+    let out = op();
+    *morsels = query_morsels().saturating_sub(before).max(1);
+    out
 }
 
 /// Static span label for a plan node (trace spans carry `&'static str`).
@@ -177,7 +179,6 @@ fn execute_inner(
     let started = analyze.map(|_| Instant::now());
     let counts0 = analyze.map(|_| query_counts());
     let span = trace::clock();
-    let threads = pool.threads();
     let mut morsels: u64 = 1;
     let result = match plan {
         LogicalPlan::Values { rel, projection } => {
@@ -191,10 +192,11 @@ fn execute_inner(
         }
         LogicalPlan::Select { input, predicate } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            morsels = par_morsels(threads, r.len());
             // select_parallel (like the other *_parallel operators) runs
             // the serial operator itself on a single-worker pool
-            Ok(rel::select_parallel(&r, predicate, pool)?)
+            Ok(dispatched(&mut morsels, || {
+                rel::select_parallel(&r, predicate, pool)
+            })?)
         }
         LogicalPlan::Project { input, items } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
@@ -208,23 +210,26 @@ fn execute_inner(
             aggs,
         } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            morsels = par_morsels(threads, r.len());
             let gb: Vec<&str> = group_by.iter().map(String::as_str).collect();
-            Ok(rel::aggregate_parallel(&r, &gb, aggs, pool)?)
+            Ok(dispatched(&mut morsels, || {
+                rel::aggregate_parallel(&r, &gb, aggs, pool)
+            })?)
         }
         LogicalPlan::NaturalJoin { left, right } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
-            morsels = par_morsels(threads, l.len().max(r.len()));
-            Ok(rel::natural_join_parallel(&l, &r, pool)?)
+            Ok(dispatched(&mut morsels, || {
+                rel::natural_join_parallel(&l, &r, pool)
+            })?)
         }
         LogicalPlan::JoinOn { left, right, on } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
             let r = execute_inner(right, ctx, provider, analyze)?;
-            morsels = par_morsels(threads, l.len().max(r.len()));
             let pairs: Vec<(&str, &str)> =
                 on.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-            Ok(rel::join_on_parallel(&l, &r, &pairs, pool)?)
+            Ok(dispatched(&mut morsels, || {
+                rel::join_on_parallel(&l, &r, &pairs, pool)
+            })?)
         }
         LogicalPlan::Cross { left, right } => {
             let l = execute_inner(left, ctx, provider, analyze)?;
@@ -242,11 +247,12 @@ fn execute_inner(
         }
         LogicalPlan::OrderBy { input, keys } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            morsels = sort_morsels(threads, r.len());
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
-            // per-worker local sorts + k-way merge; result is a view
-            Ok(rel::order_by_parallel(&r, &attrs, &dirs, pool)?)
+            // range partition + per-bucket sorts; result is a view
+            Ok(dispatched(&mut morsels, || {
+                rel::order_by_parallel(&r, &attrs, &dirs, pool)
+            })?)
         }
         LogicalPlan::Limit { input, n } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
@@ -254,11 +260,12 @@ fn execute_inner(
         }
         LogicalPlan::TopK { input, keys, n } => {
             let r = execute_inner(input, ctx, provider, analyze)?;
-            morsels = sort_morsels(threads, r.len());
             let attrs: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
             let dirs: Vec<bool> = keys.iter().map(|(_, asc)| *asc).collect();
             // per-worker bounded heaps merged at the barrier
-            Ok(rel::top_k_parallel(&r, &attrs, &dirs, *n, pool)?)
+            Ok(dispatched(&mut morsels, || {
+                rel::top_k_parallel(&r, &attrs, &dirs, *n, pool)
+            })?)
         }
         LogicalPlan::Rma { op, args, backend } => {
             let expected = if op.is_binary() { 2 } else { 1 };

@@ -195,3 +195,39 @@ fn traced_execution_is_the_plan_explain_analyze_profiles() {
         "traced Select and EXPLAIN ANALYZE disagree:\n{analyzed}"
     );
 }
+
+/// The morsel count is what an operator dispatched, not a guess at its
+/// serial fallback: on a 2-thread pool over 2,000 rows, a top-k whose k is
+/// within a factor 4 of the input and a Select whose predicate reads no
+/// column both run serially, and both print `morsels=1`.
+#[test]
+fn serial_fallbacks_report_one_morsel() {
+    let ctx = RmaContext::new(RmaOptions {
+        threads: 2,
+        ..RmaOptions::default()
+    });
+    let r = RelationBuilder::new()
+        .column("x", (0..2000i64).rev().collect::<Vec<_>>())
+        .build()
+        .unwrap();
+    let line_of = |text: &str, node: &str| -> String {
+        text.lines()
+            .find(|l| l.trim_start().starts_with(node))
+            .unwrap_or_else(|| panic!("no {node} line in\n{text}"))
+            .to_string()
+    };
+    let top_k = Frame::scan(r.clone())
+        .order_by(&["x"], &[true])
+        .limit(600)
+        .explain_analyze(&ctx)
+        .unwrap();
+    let line = line_of(&top_k, "TopK");
+    assert!(line.contains(" morsels=1 "), "serial top-k: {line}");
+
+    let select = Frame::scan(r)
+        .select(Expr::lit(1i64).eq(Expr::lit(1i64)))
+        .explain_analyze(&ctx)
+        .unwrap();
+    let line = line_of(&select, "Select");
+    assert!(line.contains(" morsels=1 "), "serial select: {line}");
+}

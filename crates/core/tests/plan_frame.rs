@@ -227,7 +227,7 @@ fn plan_level_backend_choice_is_annotated_and_honoured() {
 
     // a tiny budget flips the plan-level choice to the BAT kernel
     let tight = RmaContext::new(RmaOptions {
-        dense_memory_budget: 16, // bytes
+        mem_budget: 128, // bytes: below inv's 256-byte dense copy
         ..RmaOptions::default()
     });
     let explained = Frame::scan(square()).inv(&["k"]).explain(&tight);

@@ -6,8 +6,9 @@
 //!
 //! The pool makes this non-trivial in a new way: morsel jobs now run on
 //! long-lived parked workers instead of fresh scoped threads, and sort adds
-//! per-worker local runs + a k-way merge whose tie-breaking must reproduce
-//! the serial stable sort bit for bit.
+//! key-range buckets sorted independently and concatenated, whose
+//! splitters and tie-breaking must reproduce the serial stable sort bit
+//! for bit.
 //!
 //! Float columns hold small integer values so parallel partial-sum merges
 //! are exact (same contract as the earlier parity suites).

@@ -1,4 +1,4 @@
-//! Out-of-core operators: grace hash join, external merge sort, and the
+//! Out-of-core operators: grace hash join, external sort, and the
 //! partition-wise spilling aggregate.
 //!
 //! These are the spill-path twins of the in-memory parallel operators,
@@ -6,44 +6,47 @@
 //! `natural_join_parallel`, `aggregate_parallel`, `order_by_parallel`)
 //! takes its twin when the headroom probe
 //! ([`QueryGuard::fits`](crate::par::QueryGuard::fits)) says its working
-//! set will not fit the memory budget ([`super::place`]). Partitions run
-//! the in-memory kernels directly — no nested charge, no nested spill
-//! decision:
+//! set will not fit the memory budget ([`super::place`]). All three have
+//! one shape: the shared partition step ([`super::partition`]) buckets the
+//! rows, [`spill_buckets`] writes each bucket to its own [`SpillFile`],
+//! and each partition is read back and run through the in-memory kernel
+//! directly — no nested charge, no nested spill decision — before the
+//! results concatenate:
 //!
 //! - **Grace hash join**: both inputs are hash-partitioned on the join key
-//!   into [`SpillFile`]s (null-key rows are dropped up front — inner-join
-//!   semantics), then each partition pair is joined independently with the
-//!   ordinary pool-parallel hash join, so every spilled partition re-enters
-//!   the worker pool as its own morsel source. A partition whose build
-//!   side still exceeds the budget is recursively repartitioned (different
-//!   hash bits per level) up to [`MAX_GRACE_DEPTH`]; past that depth it is
+//!   (null-key rows are dropped up front — inner-join semantics), then
+//!   each partition pair is joined independently with the ordinary
+//!   pool-parallel hash join, so every spilled partition re-enters the
+//!   worker pool as its own morsel source. A partition whose build side
+//!   still exceeds the budget is recursively repartitioned (different hash
+//!   bits per level) up to [`MAX_GRACE_DEPTH`]; past that depth it is
 //!   joined in memory regardless — the budget becomes best-effort rather
 //!   than looping forever on pathological key skew.
-//! - **External sort**: the input is cut into budget-sized consecutive
-//!   ranges; workers sort each range and spill it as a sorted run; the
-//!   runs are streamed back chunk-at-a-time and k-way merged. The merge
-//!   breaks key ties by run index, which (runs being consecutive ranges)
-//!   reproduces the serial sort's global-row-index tie-break exactly.
+//! - **External sort**: the rows are range-partitioned on the sort keys
+//!   (the parallel sort's splitters), each partition is sorted by the
+//!   in-memory sort, and the partitions concatenate in key order — no
+//!   merge. Positions stay ascending within a partition, so the
+//!   in-partition index tie-break is the serial sort's global one.
 //! - **Spilling aggregate**: rows are hash-partitioned on the group key
 //!   (null keys *are* group keys here, unlike joins), each partition is
-//!   aggregated independently — group keys never span partitions — and
-//!   the partial results are concatenated.
+//!   aggregated independently — group keys never span partitions.
 //!
-//! Results are value-identical to the in-memory operators; the **row
-//! order** of the grace join and the spilling aggregate is partition-major
-//! rather than probe-major, which SQL semantics leave unspecified.
+//! Results are value-identical to the in-memory operators, and the sort's
+//! row order is identical too; the **row order** of the grace join and the
+//! spilling aggregate is partition-major rather than probe-major, which
+//! SQL semantics leave unspecified.
 
-use super::sort::SortKeys;
+use super::sort::{sort_in_memory, SortKeys};
 use super::{hash_row, row_key};
 use crate::error::RelationError;
 use crate::par::{current_guard, guard_checkpoint, WorkerPool};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::spill::{SpillFile, SpillReader, SPILL_CHUNK_ROWS};
+use crate::spill::{SpillFile, SPILL_CHUNK_ROWS};
 use crate::trace;
-use rma_storage::{Bitmap, Column, ColumnData, DataType};
-use std::cmp::Ordering;
+use rma_storage::Column;
 use std::hash::{Hash, Hasher};
+use std::sync::Mutex;
 
 /// Maximum grace-join repartition depth. Each level consumes 16 fresh bits
 /// of the 64-bit key hash, so two levels of fanout ≤ 32 already separate
@@ -51,14 +54,10 @@ use std::hash::{Hash, Hasher};
 /// split further.
 const MAX_GRACE_DEPTH: u32 = 2;
 
-/// Grace fanout bounds: at least a real split, at most a file-descriptor
-/// count that stays polite at two levels of recursion.
+/// Partition fanout bounds: at least a real split, at most a
+/// file-descriptor count that stays polite at two levels of recursion.
 const MIN_FANOUT: usize = 2;
 const MAX_FANOUT: usize = 32;
-
-/// Minimum rows per external-sort run — below this, file overhead dwarfs
-/// the sort.
-const MIN_RUN_ROWS: usize = 1024;
 
 /// The partition fanout for an operator whose working set is estimated at
 /// `est_bytes`, aiming each partition at half the budget's headroom.
@@ -79,10 +78,6 @@ fn rel_bytes_est(r: &Relation) -> u64 {
     (r.len() as u64) * (r.schema().len().max(1) as u64) * 8
 }
 
-fn key_cols<'a>(r: &'a Relation, keys: &[&str]) -> Result<Vec<&'a Column>, RelationError> {
-    keys.iter().map(|n| r.base_column(n)).collect()
-}
-
 /// Partition bucket of base row `base`: key hash, shifted by 16 bits per
 /// recursion level so each level splits on fresh bits. Null-containing
 /// keys take the boxed-key hash (only the aggregate path sees them).
@@ -97,46 +92,65 @@ fn part_bucket(cols: &[&Column], base: usize, parts: usize, depth: u32) -> usize
     ((h >> (16 * depth.min(3))) % parts as u64) as usize
 }
 
-fn create_files(parts: usize) -> Result<Vec<SpillFile>, RelationError> {
-    (0..parts).map(|_| SpillFile::create()).collect()
-}
-
-/// Hash-partition the visible rows of `r` by `keys` into `files`,
-/// appending chunk-wise so no partition is ever materialized whole.
+/// Hash-partition the visible rows of `r` on `keys` into `parts` buckets.
 /// `skip_null_keys` drops rows with a null in any key column (inner-join
 /// semantics); aggregation keeps them (null group keys form groups).
-fn partition_into(
+fn hash_buckets(
     r: &Relation,
     keys: &[&str],
     parts: usize,
     depth: u32,
     skip_null_keys: bool,
-    files: &mut [SpillFile],
-) -> Result<(), RelationError> {
-    let cols = key_cols(r, keys)?;
-    let mut idx: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for pos in 0..r.len() {
+    pool: &WorkerPool,
+) -> Result<Vec<Vec<usize>>, RelationError> {
+    let cols: Vec<&Column> = keys
+        .iter()
+        .map(|n| r.base_column(n))
+        .collect::<Result<_, _>>()?;
+    super::partition(r.len(), parts, pool, |pos| {
         let base = r.base_index(pos);
         if skip_null_keys && cols.iter().any(|c| c.is_null(base)) {
-            continue;
+            return None;
         }
-        idx[part_bucket(&cols, base, parts, depth)].push(pos);
-    }
-    for (p, rows) in idx.iter().enumerate() {
-        for chunk in rows.chunks(SPILL_CHUNK_ROWS) {
-            files[p].append(&r.take(chunk))?;
-        }
-    }
-    Ok(())
+        Some(part_bucket(&cols, base, parts, depth))
+    })
 }
 
-fn partition_side(
+fn create_files(parts: usize) -> Result<Vec<SpillFile>, RelationError> {
+    (0..parts).map(|_| SpillFile::create()).collect()
+}
+
+/// Append each bucket's rows of `r` to its file, chunk-wise so no
+/// partition is ever materialized whole — the one spill write path. The
+/// buckets write concurrently, one pool item per file.
+fn write_buckets(
     r: &Relation,
-    keys: &[&str],
-    parts: usize,
+    buckets: &[Vec<usize>],
+    files: &mut [SpillFile],
+    pool: &WorkerPool,
+) -> Result<(), RelationError> {
+    let items: Vec<(Mutex<&mut SpillFile>, &[usize])> = files
+        .iter_mut()
+        .map(Mutex::new)
+        .zip(buckets.iter().map(Vec::as_slice))
+        .collect();
+    let written = pool.for_each(&items, |_, (file, rows)| {
+        let mut file = file.lock().expect("spill file poisoned");
+        rows.chunks(SPILL_CHUNK_ROWS)
+            .try_for_each(|chunk| file.append(&r.take(chunk)))
+    });
+    guard_checkpoint()?;
+    written.into_iter().collect()
+}
+
+/// Write the buckets of `r` to one fresh spill file each.
+fn spill_buckets(
+    r: &Relation,
+    buckets: &[Vec<usize>],
+    pool: &WorkerPool,
 ) -> Result<Vec<SpillFile>, RelationError> {
-    let mut files = create_files(parts)?;
-    partition_into(r, keys, parts, 0, true, &mut files)?;
+    let mut files = create_files(buckets.len())?;
+    write_buckets(r, buckets, &mut files, pool)?;
     for f in &mut files {
         f.finish()?;
     }
@@ -151,11 +165,13 @@ fn repartition(
     keys: &[&str],
     parts: usize,
     depth: u32,
+    pool: &WorkerPool,
 ) -> Result<Vec<SpillFile>, RelationError> {
     let mut files = create_files(parts)?;
     let mut rd = f.reader(schema)?;
     while let Some(chunk) = rd.next_chunk()? {
-        partition_into(&chunk, keys, parts, depth, true, &mut files)?;
+        let buckets = hash_buckets(&chunk, keys, parts, depth, true, pool)?;
+        write_buckets(&chunk, &buckets, &mut files, pool)?;
     }
     for f in &mut files {
         f.finish()?;
@@ -207,8 +223,10 @@ fn grace_join(
     let right_keys: Vec<&str> = on.iter().map(|(_, r)| *r).collect();
     let parts = fanout(rel_bytes_est(b));
     let span = trace::clock();
-    let a_files = partition_side(a, &left_keys, parts)?;
-    let b_files = partition_side(b, &right_keys, parts)?;
+    let a_buckets = hash_buckets(a, &left_keys, parts, 0, true, pool)?;
+    let a_files = spill_buckets(a, &a_buckets, pool)?;
+    let b_buckets = hash_buckets(b, &right_keys, parts, 0, true, pool)?;
+    let b_files = spill_buckets(b, &b_buckets, pool)?;
     trace::record(
         "join.partition",
         "join",
@@ -254,8 +272,8 @@ fn join_partition(
         let parts = fanout(bf.bytes());
         let left_keys: Vec<&str> = on.iter().map(|(l, _)| *l).collect();
         let right_keys: Vec<&str> = on.iter().map(|(_, r)| *r).collect();
-        let a_sub = repartition(af, a_schema, &left_keys, parts, depth)?;
-        let b_sub = repartition(bf, b_schema, &right_keys, parts, depth)?;
+        let a_sub = repartition(af, a_schema, &left_keys, parts, depth, pool)?;
+        let b_sub = repartition(bf, b_schema, &right_keys, parts, depth, pool)?;
         let mut results = Vec::with_capacity(parts);
         for (asf, bsf) in a_sub.iter().zip(&b_sub) {
             results.push(join_partition(
@@ -291,10 +309,11 @@ fn join_partition(
     Ok(joined)
 }
 
-/// External merge sort (spill path of [`super::order_by_parallel`]):
-/// budget-sized sorted runs spilled by the workers, then a streaming k-way
-/// merge from disk. Row order is identical to the serial
-/// [`super::order_by`] (and therefore to [`super::order_by_parallel`]).
+/// External sort (spill path of [`super::order_by_parallel`]): the rows
+/// are range-partitioned on the sort keys into spill files, each file is
+/// read back and sorted in memory, and the partitions concatenate in key
+/// order. Row order is identical to the serial [`super::order_by`] (and
+/// therefore to [`super::order_by_parallel`]).
 pub(super) fn order_by_external(
     r: &Relation,
     attrs: &[&str],
@@ -304,228 +323,33 @@ pub(super) fn order_by_external(
     if attrs.is_empty() || r.len() <= 1 {
         return super::setops::order_by(r, attrs, ascending);
     }
-    let keys = SortKeys::new(r, attrs, ascending)?;
-    let dirs: Vec<bool> = (0..attrs.len())
-        .map(|k| ascending.get(k).copied().unwrap_or(true))
-        .collect();
-    let key_idx: Vec<usize> = attrs
-        .iter()
-        .map(|n| {
-            r.schema()
-                .index_of(n)
-                .ok_or_else(|| RelationError::UnknownAttribute(n.to_string()))
-        })
-        .collect::<Result<_, _>>()?;
-    // run size: aim a materialized run at half the budget's headroom,
-    // bounded below (file overhead) and so the run count stays a sane
-    // merge width
-    let row_bytes = (r.schema().len().max(1) * 8) as u64;
-    let budget = current_guard().map_or(0, |g| g.mem_budget());
-    let target_rows = if budget == 0 {
-        MIN_RUN_ROWS // forced spill without a budget (tests)
-    } else {
-        usize::try_from((budget / 2).max(1) / row_bytes).unwrap_or(usize::MAX)
-    };
-    let run_rows = target_rows.max(MIN_RUN_ROWS).max(r.len() / MAX_FANOUT + 1);
-    let ranges: Vec<std::ops::Range<usize>> = (0..r.len())
-        .step_by(run_rows)
-        .map(|s| s..(s + run_rows).min(r.len()))
-        .collect();
-    // run phase: workers sort consecutive ranges and spill them
-    let runs: Vec<Result<SpillFile, RelationError>> = pool.for_each(&ranges, |lane, range| {
-        let span = trace::clock();
-        let mut idx: Vec<usize> = (range.start..range.end).collect();
-        idx.sort_unstable_by(|&x, &y| keys.cmp(x, y));
-        let out = (|| {
-            let mut f = SpillFile::create()?;
-            for chunk in idx.chunks(SPILL_CHUNK_ROWS) {
-                f.append(&r.take(chunk))?;
-            }
-            f.finish()?;
-            Ok(f)
-        })();
-        trace::record(
-            "sort.spill_run",
-            "sort",
-            lane,
-            span,
-            idx.len() as u64,
-            idx.len() as u64,
-            1,
-        );
-        out
-    });
-    guard_checkpoint()?;
-    let mut files = Vec::with_capacity(runs.len());
-    for f in runs {
-        files.push(f?);
-    }
+    let parts = fanout(rel_bytes_est(r));
     let span = trace::clock();
-    let merged = merge_spilled(r.schema(), &files, &key_idx, &dirs, r.len())?;
+    let buckets = SortKeys::new(r, attrs, ascending)?.range_buckets(r.len(), parts, pool)?;
+    let files = spill_buckets(r, &buckets, pool)?;
+    drop(buckets); // not needed while the partitions are read back
     trace::record(
-        "sort.disk_merge",
+        "sort.partition",
         "sort",
         0,
         span,
-        merged.len() as u64,
-        merged.len() as u64,
-        files.len() as u64,
+        r.len() as u64,
+        0,
+        parts as u64,
     );
+    let mut sorted = Vec::with_capacity(parts);
+    for f in &files {
+        let part = f.read_all(r.schema())?;
+        sorted.push(sort_in_memory(&part, attrs, ascending, pool)?);
+    }
+    guard_checkpoint()?;
     // the serial sort preserves the input's name; match it so the external
     // path is a drop-in replacement
+    let out = Relation::concat(&sorted)?;
     Ok(match r.name() {
-        Some(n) => merged.with_name(n),
-        None => merged,
+        Some(n) => out.with_name(n),
+        None => out,
     })
-}
-
-/// One run's read-back state during the merge: the current chunk and a
-/// position within it. `chunk == None` means the run is exhausted.
-struct RunCursor {
-    reader: SpillReader,
-    chunk: Option<Relation>,
-    pos: usize,
-}
-
-impl RunCursor {
-    fn open(f: &SpillFile, schema: &Schema) -> Result<Self, RelationError> {
-        let mut reader = f.reader(schema)?;
-        let chunk = reader.next_chunk()?;
-        Ok(RunCursor {
-            reader,
-            chunk,
-            pos: 0,
-        })
-    }
-
-    fn advance(&mut self) -> Result<(), RelationError> {
-        self.pos += 1;
-        if self.chunk.as_ref().is_some_and(|c| self.pos >= c.len()) {
-            self.chunk = self.reader.next_chunk()?;
-            self.pos = 0;
-        }
-        Ok(())
-    }
-}
-
-/// Key comparison of two cursors' current rows (`Equal` leaves the
-/// tie-break — run index — to the caller).
-fn cmp_cursors(x: &RunCursor, y: &RunCursor, key_idx: &[usize], dirs: &[bool]) -> Ordering {
-    let (cx, cy) = (
-        x.chunk.as_ref().expect("live cursor"),
-        y.chunk.as_ref().expect("live cursor"),
-    );
-    for (&k, &asc) in key_idx.iter().zip(dirs) {
-        let ord = cx.base_columns()[k].cmp_rows_cross(x.pos, &cy.base_columns()[k], y.pos);
-        let ord = if asc { ord } else { ord.reverse() };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
-/// Streaming k-way merge of sorted runs read back from disk. Ties keep
-/// the lowest run index — runs hold consecutive row ranges, so this is
-/// exactly the serial sort's global-row-index tie-break.
-fn merge_spilled(
-    schema: &Schema,
-    files: &[SpillFile],
-    key_idx: &[usize],
-    dirs: &[bool],
-    total_rows: usize,
-) -> Result<Relation, RelationError> {
-    let mut cursors: Vec<RunCursor> = files
-        .iter()
-        .map(|f| RunCursor::open(f, schema))
-        .collect::<Result<_, _>>()?;
-    let mut builders: Vec<ColBuilder> = schema
-        .attributes()
-        .iter()
-        .map(|a| ColBuilder::new(a.dtype(), total_rows))
-        .collect();
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if c.chunk.is_none() {
-                continue;
-            }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    if cmp_cursors(c, &cursors[b], key_idx, dirs) == Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(b) = best else { break };
-        {
-            let cur = &cursors[b];
-            let chunk = cur.chunk.as_ref().expect("live cursor");
-            for (bld, col) in builders.iter_mut().zip(chunk.base_columns()) {
-                bld.push_from(col, cur.pos)?;
-            }
-        }
-        cursors[b].advance()?;
-    }
-    let cols = builders
-        .into_iter()
-        .map(ColBuilder::finish)
-        .collect::<Result<Vec<_>, _>>()?;
-    Relation::new(schema.clone(), cols)
-}
-
-/// Column assembly for the merge output: typed pushes from source chunks,
-/// null bitmap built on the side.
-struct ColBuilder {
-    data: ColumnData,
-    nulls: Vec<bool>,
-    any_null: bool,
-}
-
-impl ColBuilder {
-    fn new(dt: DataType, cap: usize) -> Self {
-        ColBuilder {
-            data: ColumnData::with_capacity(dt, cap),
-            nulls: Vec::with_capacity(cap),
-            any_null: false,
-        }
-    }
-
-    fn push_from(&mut self, col: &Column, i: usize) -> Result<(), RelationError> {
-        let null = col.is_null(i);
-        self.nulls.push(null);
-        self.any_null |= null;
-        match (&mut self.data, col.data()) {
-            (ColumnData::Int(v), ColumnData::Int(s)) => v.push(if null { 0 } else { s[i] }),
-            (ColumnData::Float(v), ColumnData::Float(s)) => v.push(if null { 0.0 } else { s[i] }),
-            (ColumnData::Str(v), ColumnData::Str(s)) => {
-                v.push(if null { String::new() } else { s[i].clone() })
-            }
-            (ColumnData::Bool(v), ColumnData::Bool(s)) => v.push(!null && s[i]),
-            (ColumnData::Date(v), ColumnData::Date(s)) => v.push(if null { 0 } else { s[i] }),
-            _ => {
-                return Err(RelationError::SpillIo(
-                    "spill chunk column type does not match schema".to_string(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> Result<Column, RelationError> {
-        if self.any_null {
-            Ok(Column::with_nulls(
-                self.data,
-                Bitmap::from_bools(&self.nulls),
-            )?)
-        } else {
-            Ok(Column::new(self.data))
-        }
-    }
 }
 
 /// Partition-wise spilling aggregate (spill path of
@@ -542,11 +366,7 @@ pub(super) fn aggregate_external(
 ) -> Result<Relation, RelationError> {
     debug_assert!(!group_by.is_empty(), "ungrouped aggregation never spills");
     let parts = fanout(super::parallel::AGG_BYTES_PER_ROW * r.len() as u64);
-    let mut files = create_files(parts)?;
-    partition_into(r, group_by, parts, 0, false, &mut files)?;
-    for f in &mut files {
-        f.finish()?;
-    }
+    let files = spill_buckets(r, &hash_buckets(r, group_by, parts, 0, false, pool)?, pool)?;
     let mut results = Vec::with_capacity(parts);
     for f in &files {
         let part = f.read_all(r.schema())?;
@@ -561,6 +381,7 @@ pub(super) fn aggregate_external(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::sort::tests::{edge_inputs, rows_of};
     use crate::algebra::{aggregate, join_on, natural_join, order_by, AggFunc, AggSpec};
     use crate::relation::RelationBuilder;
     use crate::spill::{live_spill_files, test_lock};
@@ -628,6 +449,20 @@ mod tests {
         let ser = order_by(&r, &["cust", "amount"], &[true, false]).unwrap();
         // identical row order, not just identical multiset
         assert_eq!(ext.materialize(), ser.materialize());
+        // large enough that the 8 partitions of a budget-less spill run the
+        // pooled in-memory sort at 4 threads
+        for (r, attrs, dirs) in edge_inputs(12_000) {
+            for threads in [1, 4] {
+                let pool = WorkerPool::new(threads);
+                let ext = order_by_external(&r, &attrs, &dirs, &pool).unwrap();
+                let ser = order_by(&r, &attrs, &dirs).unwrap();
+                assert_eq!(
+                    rows_of(&ext),
+                    rows_of(&ser),
+                    "threads={threads} attrs={attrs:?}"
+                );
+            }
+        }
         assert_eq!(live_spill_files(), baseline);
     }
 

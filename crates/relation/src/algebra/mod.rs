@@ -22,7 +22,7 @@ pub use setops::{distinct, limit, order_by, top_k, union_all};
 pub use sort::{order_by_parallel, top_k_parallel};
 
 use crate::error::RelationError;
-use crate::par::current_guard;
+use crate::par::{current_guard, morsel_count, partition_ranges, WorkerPool};
 use rma_storage::{Column, ColumnAccessor};
 use std::hash::{Hash, Hasher};
 
@@ -76,6 +76,46 @@ fn place(est_bytes: u64) -> Result<Placement, RelationError> {
         Some(g) if !g.fits(est_bytes) => Ok(Placement::Spill),
         _ => WorkingSet::charge(est_bytes).map(Placement::Memory),
     }
+}
+
+/// The one partition step of every partitioned operator: assign each of
+/// `len` visible rows to one of `parts` buckets, morsel-parallel on
+/// `pool`. `bucket(pos)` names a row's bucket (a key-range bucket for the
+/// sort, a key-hash bucket for the grace join and the spilling aggregate),
+/// or `None` to drop the row. Positions stay ascending within each
+/// bucket. Where the bucket lists go is the caller's placement: sorted in
+/// memory, or written to spill files.
+fn partition<F>(
+    len: usize,
+    parts: usize,
+    pool: &WorkerPool,
+    bucket: F,
+) -> Result<Vec<Vec<usize>>, RelationError>
+where
+    F: Fn(usize) -> Option<usize> + Sync,
+{
+    let ranges = partition_ranges(len, morsel_count(pool.threads(), len));
+    let locals = pool.for_each(&ranges, |_, range| {
+        let mut local = vec![Vec::new(); parts];
+        for pos in range.clone() {
+            if let Some(b) = bucket(pos) {
+                local[b].push(pos);
+            }
+        }
+        local
+    });
+    crate::par::guard_checkpoint()?;
+    // morsels are ascending disjoint ranges: concatenating their lists in
+    // morsel order keeps each bucket ascending
+    let mut buckets: Vec<Vec<usize>> = (0..parts)
+        .map(|b| Vec::with_capacity(locals.iter().map(|l| l[b].len()).sum()))
+        .collect();
+    for local in locals {
+        for (all, part) in buckets.iter_mut().zip(local) {
+            all.extend(part);
+        }
+    }
+    Ok(buckets)
 }
 
 /// A hashable, equatable key extracted from one row of a set of columns.

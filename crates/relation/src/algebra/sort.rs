@@ -1,16 +1,20 @@
-//! Pool-parallel ordering: parallel sort and top-k merge.
+//! Pool-parallel ordering: the range-partitioned sort and parallel top-k.
 //!
 //! `ORDER BY` is the one blocking operator every ordered query funnels
 //! through, so it gets its own parallel strategy on the shared
 //! [`WorkerPool`]:
 //!
-//! - **Parallel sort** ([`order_by_parallel`]): the visible rows are split
-//!   into one contiguous range per worker; each worker sorts its range's
-//!   row indices locally (no data movement), and the sorted runs are
-//!   k-way-merged into one permutation. The result is `r.take(&perm)` — an
-//!   *index-SelVec view* over the shared base columns, so the sort itself
-//!   copies nothing and the sink pays the usual single gather (the PR 3
-//!   view/sink contract).
+//! - **Parallel sort** ([`order_by_parallel`]): the visible rows are
+//!   range-partitioned on the sort keys — splitters are picked from evenly
+//!   spaced sample rows, and every row of bucket *b* sorts before every
+//!   row of bucket *b+1* — through the shared partition step
+//!   ([`super::partition`]). Each bucket's row indices are sorted as one
+//!   pool item and the buckets concatenate into the permutation: no merge.
+//!   The result is `r.take(&perm)` — an *index-SelVec view* over the
+//!   shared base columns, so the sort itself copies nothing and the sink
+//!   pays the usual single gather (late materialization's view/sink
+//!   contract). The external sort writes the same buckets to spill files
+//!   instead ([`super::external`]).
 //! - **Parallel top-k** ([`top_k_parallel`]): each worker runs a bounded
 //!   max-heap of the k best rows over its range; the per-worker candidate
 //!   sets are merged at the barrier (at most `k·workers` rows) and cut to
@@ -25,12 +29,16 @@
 use super::setops::{order_by, top_k};
 use super::{place, Placement, WorkingSet};
 use crate::error::RelationError;
-use crate::par::{partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
+use crate::par::{morsel_count, partition_ranges, WorkerPool, MIN_PARALLEL_ROWS};
 use crate::relation::Relation;
 use crate::trace;
 use rma_storage::Column;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Mutex;
+
+/// Sample rows per bucket when picking range splitters.
+const SAMPLES_PER_BUCKET: usize = 64;
 
 /// The sort-key columns and directions of one ORDER BY, with the
 /// index-tie-break total order shared by the serial top-k, the parallel
@@ -75,28 +83,52 @@ impl SortKeys {
         }
         x.cmp(&y)
     }
+
+    /// Range-partition the visible rows `0..len` into `parts` buckets:
+    /// every row of bucket *b* precedes every row of bucket *b+1* under
+    /// [`SortKeys::cmp`]. Splitters come from evenly spaced sample rows
+    /// (no RNG); the order is total, so all-ties input still splits evenly.
+    pub(super) fn range_buckets(
+        &self,
+        len: usize,
+        parts: usize,
+        pool: &WorkerPool,
+    ) -> Result<Vec<Vec<usize>>, RelationError> {
+        let n = (parts * SAMPLES_PER_BUCKET).min(len);
+        let mut sample: Vec<usize> = (0..n).map(|i| i * len / n).collect();
+        sample.sort_unstable_by(|&x, &y| self.cmp(x, y));
+        let splitters: Vec<usize> = (1..parts)
+            .filter_map(|b| sample.get(b * n / parts).copied())
+            .collect();
+        // a row's bucket is the number of splitters at or before it
+        super::partition(len, parts, pool, |pos| {
+            Some(splitters.partition_point(|&s| self.cmp(s, pos) != Ordering::Greater))
+        })
+    }
 }
 
-/// Parallel `ORDER BY`: per-worker local sorts of contiguous index ranges,
-/// then a k-way merge of the sorted runs. The result is a view (index
+/// Parallel `ORDER BY`: range-partition the rows on the sort keys, sort
+/// each bucket as one pool item, concatenate. The result is a view (index
 /// selection vector over the shared base columns) in the same row order the
 /// serial [`order_by`] produces. Delegates to the serial operator for
 /// single-worker pools and small inputs. A permutation that does not fit
-/// the memory budget takes the external merge sort instead.
+/// the memory budget takes the external sort instead.
 pub fn order_by_parallel(
     r: &Relation,
     attrs: &[&str],
     ascending: &[bool],
     pool: &WorkerPool,
 ) -> Result<Relation, RelationError> {
-    // sort runs + merged permutation: one 8-byte index per row
+    // bucket lists + permutation: one 8-byte index per row
     match place(8 * r.len() as u64)? {
         Placement::Spill => super::external::order_by_external(r, attrs, ascending, pool),
         Placement::Memory(_working) => sort_in_memory(r, attrs, ascending, pool),
     }
 }
 
-fn sort_in_memory(
+/// The in-memory parallel sort (also the external sort's per-partition
+/// kernel, which has already placed itself).
+pub(super) fn sort_in_memory(
     r: &Relation,
     attrs: &[&str],
     ascending: &[bool],
@@ -106,40 +138,36 @@ fn sort_in_memory(
         return order_by(r, attrs, ascending);
     }
     let keys = SortKeys::new(r, attrs, ascending)?;
-    let ranges = partition_ranges(r.len(), pool.threads());
-    if ranges.len() <= 1 {
-        return order_by(r, attrs, ascending);
-    }
-    let runs: Vec<Vec<usize>> = pool.for_each(&ranges, |lane, range| {
-        let span = trace::clock();
-        let mut idx: Vec<usize> = (range.start..range.end).collect();
-        // unstable sort under a strict total order (index tie-break) equals
-        // the serial stable sort's output
-        idx.sort_unstable_by(|&x, &y| keys.cmp(x, y));
-        trace::record(
-            "sort.run",
-            "sort",
-            lane,
-            span,
-            idx.len() as u64,
-            idx.len() as u64,
-            1,
-        );
-        idx
-    });
-    // a tripped guard truncates the run set; surface it as a typed error
-    crate::par::guard_checkpoint()?;
     let span = trace::clock();
-    let perm = merge_runs(&runs, &keys);
+    // a few buckets per worker, so uneven buckets rebalance across claims
+    let parts = morsel_count(pool.threads(), r.len());
+    let buckets = keys.range_buckets(r.len(), parts, pool)?;
     trace::record(
-        "sort.merge",
+        "sort.partition",
         "sort",
         0,
         span,
-        perm.len() as u64,
-        perm.len() as u64,
-        runs.len() as u64,
+        r.len() as u64,
+        r.len() as u64,
+        parts as u64,
     );
+    // each bucket is one pool item, sorted in place
+    let buckets: Vec<Mutex<Vec<usize>>> = buckets.into_iter().map(Mutex::new).collect();
+    pool.for_each(&buckets, |lane, bucket| {
+        let span = trace::clock();
+        let mut idx = bucket.lock().expect("sort bucket poisoned");
+        // unstable sort under a strict total order (index tie-break) equals
+        // the serial stable sort's output
+        idx.sort_unstable_by(|&x, &y| keys.cmp(x, y));
+        let rows = idx.len() as u64;
+        trace::record("sort.bucket", "sort", lane, span, rows, rows, 1);
+    });
+    // a tripped guard leaves buckets unsorted; surface it as a typed error
+    crate::par::guard_checkpoint()?;
+    let perm: Vec<usize> = buckets
+        .into_iter()
+        .flat_map(|b| b.into_inner().expect("sort bucket poisoned"))
+        .collect();
     Ok(r.take(&perm))
 }
 
@@ -199,78 +227,6 @@ pub fn top_k_parallel(
     Ok(r.take(&cand))
 }
 
-/// K-way merge of sorted index runs into one permutation, via a binary
-/// min-heap of run heads. Runs are few (one per worker), so the heap is
-/// tiny; the comparator's index tie-break keeps the merge deterministic.
-fn merge_runs(runs: &[Vec<usize>], keys: &SortKeys) -> Vec<usize> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // heap entries: (row, run); `pos[run]` is the next unconsumed position
-    let mut heap: Vec<(usize, usize)> = Vec::with_capacity(runs.len());
-    let mut pos: Vec<usize> = vec![1; runs.len()];
-    for (run, idxs) in runs.iter().enumerate() {
-        if let Some(&row) = idxs.first() {
-            heap_push(&mut heap, (row, run), keys);
-        }
-    }
-    while let Some((row, run)) = heap_pop(&mut heap, keys) {
-        out.push(row);
-        if let Some(&next) = runs[run].get(pos[run]) {
-            pos[run] += 1;
-            heap_push(&mut heap, (next, run), keys);
-        }
-    }
-    out
-}
-
-/// Min-heap ordering for merge entries: by row under `keys` (strict, so the
-/// run index never matters).
-#[inline]
-fn entry_lt(a: (usize, usize), b: (usize, usize), keys: &SortKeys) -> bool {
-    keys.cmp(a.0, b.0) == Ordering::Less
-}
-
-fn heap_push(heap: &mut Vec<(usize, usize)>, entry: (usize, usize), keys: &SortKeys) {
-    heap.push(entry);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if entry_lt(heap[i], heap[parent], keys) {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-fn heap_pop(heap: &mut Vec<(usize, usize)>, keys: &SortKeys) -> Option<(usize, usize)> {
-    if heap.is_empty() {
-        return None;
-    }
-    let last = heap.len() - 1;
-    heap.swap(0, last);
-    let top = heap.pop();
-    let len = heap.len();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut smallest = i;
-        if l < len && entry_lt(heap[l], heap[smallest], keys) {
-            smallest = l;
-        }
-        if r < len && entry_lt(heap[r], heap[smallest], keys) {
-            smallest = r;
-        }
-        if smallest == i {
-            break;
-        }
-        heap.swap(i, smallest);
-        i = smallest;
-    }
-    top
-}
-
 /// Bounded max-heap of the k best rows in `range`: `heap[0]` is the worst
 /// of the current k best; every other row either displaces it or is
 /// dropped. O(range · log k). The returned candidates are unsorted —
@@ -317,12 +273,86 @@ pub(super) fn bounded_top_k(range: Range<usize>, k: usize, keys: &SortKeys) -> V
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::algebra::limit;
     use crate::expr::Expr;
     use crate::relation::RelationBuilder;
-    use rma_storage::{Bitmap, ColumnData, DataType};
+    use rma_storage::{Bitmap, ColumnData, DataType, Encoding};
+
+    /// Key shapes the range splitters must handle, each with its ORDER BY
+    /// keys and directions: all-equal keys, a DESC float key holding
+    /// nulls, NaN and ±0.0, a dictionary-encoded string key, and an RLE
+    /// key. Every relation carries a unique `id`.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn edge_inputs(n: usize) -> Vec<(Relation, Vec<&'static str>, Vec<bool>)> {
+        let id: Vec<i64> = (0..n as i64).collect();
+        let with = |name: &str, col: Column| {
+            let base = RelationBuilder::new()
+                .name("edges")
+                .column("id", id.clone())
+                .build()
+                .unwrap();
+            let mut attrs = base.schema().attributes().to_vec();
+            attrs.push(crate::schema::Attribute::new(name, col.data_type()));
+            let mut cols = base.columns().to_vec();
+            cols.push(col);
+            Relation::new(crate::schema::Schema::new(attrs).unwrap(), cols)
+                .unwrap()
+                .with_name("edges")
+        };
+        let floats = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            1.5,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            -2.5,
+        ];
+        let f: Vec<f64> = (0..n).map(|i| floats[(i * 5) % floats.len()]).collect();
+        let f_valid: Vec<bool> = (0..n).map(|i| i % 9 != 4).collect();
+        let strs: Vec<String> = (0..n).map(|i| format!("k{}", (i * 13) % 37)).collect();
+        let runs: Vec<i64> = (0..n).map(|i| ((i / 100) % 7) as i64).collect();
+        let encode = |c: Column, enc: Encoding| c.encode_as(enc).expect("encodable key");
+        vec![
+            (
+                with("c", Column::new(ColumnData::Int(vec![5; n]))),
+                vec!["c"],
+                vec![true],
+            ),
+            (
+                with(
+                    "f",
+                    Column::with_nulls(ColumnData::Float(f), Bitmap::from_bools(&f_valid)).unwrap(),
+                ),
+                vec!["f"],
+                vec![false],
+            ),
+            (
+                with(
+                    "s",
+                    encode(Column::new(ColumnData::Str(strs)), Encoding::Dict),
+                ),
+                vec!["s"],
+                vec![true],
+            ),
+            (
+                with(
+                    "r",
+                    encode(Column::new(ColumnData::Int(runs)), Encoding::Rle),
+                ),
+                vec!["r", "id"],
+                vec![false, true],
+            ),
+        ]
+    }
+
+    /// Row-for-row dump (`Debug` keeps NaN and -0.0 distinguishable, which
+    /// relation equality over float vectors cannot).
+    pub(crate) fn rows_of(r: &Relation) -> Vec<String> {
+        r.rows().map(|row| format!("{row:?}")).collect()
+    }
 
     /// Rows large enough to clear `MIN_PARALLEL_ROWS`, with heavy key
     /// duplication (tie-break coverage), a float secondary key, and a
@@ -370,6 +400,47 @@ mod tests {
                 assert!(par.is_view(), "parallel sort must produce a view");
             }
         }
+        for (r, attrs, dirs) in edge_inputs(3001) {
+            for threads in [1, 4] {
+                let pool = WorkerPool::new(threads);
+                let par = order_by_parallel(&r, &attrs, &dirs, &pool).unwrap();
+                let ser = order_by(&r, &attrs, &dirs).unwrap();
+                assert_eq!(
+                    rows_of(&par),
+                    rows_of(&ser),
+                    "threads={threads} attrs={attrs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn range_buckets_split_all_ties_evenly() {
+        let n = 5000usize;
+        let r = RelationBuilder::new()
+            .column("c", vec![5i64; n])
+            .build()
+            .unwrap();
+        let keys = SortKeys::new(&r, &["c"], &[true]).unwrap();
+        for threads in [1, 4] {
+            let pool = WorkerPool::new(threads);
+            for parts in [2, 3, 8, 32] {
+                let buckets = keys.range_buckets(n, parts, &pool).unwrap();
+                assert_eq!(buckets.len(), parts);
+                assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), n);
+                let cap = 2 * n.div_ceil(parts);
+                assert!(
+                    buckets.iter().all(|b| b.len() <= cap),
+                    "parts={parts}: bucket sizes {:?} exceed {cap}",
+                    buckets.iter().map(Vec::len).collect::<Vec<_>>()
+                );
+                // every row of bucket b precedes every row of bucket b+1
+                let flat: Vec<usize> = buckets.concat();
+                assert!(flat
+                    .windows(2)
+                    .all(|w| keys.cmp(w[0], w[1]) == Ordering::Less));
+            }
+        }
     }
 
     #[test]
@@ -398,14 +469,16 @@ mod tests {
             .column("id", (0..n as i64).collect::<Vec<_>>())
             .build()
             .unwrap();
-        let pool = WorkerPool::new(4);
-        let par = order_by_parallel(&r, &["c"], &[true], &pool).unwrap();
-        // all-equal keys: output must be the original row order
-        let ids = match par.column("id").unwrap().data() {
-            ColumnData::Int(v) => v.clone(),
-            _ => unreachable!(),
-        };
-        assert_eq!(ids, (0..n as i64).collect::<Vec<_>>());
+        for threads in [1, 4] {
+            let pool = WorkerPool::new(threads);
+            let par = order_by_parallel(&r, &["c"], &[true], &pool).unwrap();
+            // all-equal keys: output must be the original row order
+            let ids = match par.column("id").unwrap().data() {
+                ColumnData::Int(v) => v.clone(),
+                _ => unreachable!(),
+            };
+            assert_eq!(ids, (0..n as i64).collect::<Vec<_>>(), "threads={threads}");
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@
 //! spurious budget breaches for robustness tests.
 
 use crate::trace;
-use rma_storage::counters::{self, Counters};
+use rma_storage::counters::{self, Counter, Counters};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -1076,7 +1076,8 @@ impl WorkerPool {
     /// order. Inherits the calling thread's active [`SessionTicket`], if
     /// any — the job is then seat-budgeted and fairly interleaved with
     /// other sessions' jobs. With one worker or at most one item the work
-    /// runs inline on the caller's thread.
+    /// runs inline on the caller's thread. The items run are counted on
+    /// the running query's [`Counter::Morsels`].
     /// When a [`QueryGuard`] is active on the submitting thread, the
     /// claim loop polls it before every claim ([`QueryGuard::poll_morsel`])
     /// and stops claiming on a trip — a cancelled or over-budget query
@@ -1100,6 +1101,7 @@ impl WorkerPool {
                 }
                 out.push(f(i, item));
             }
+            counters::bump(Counter::Morsels, out.len() as u64);
             return out;
         }
         let next = AtomicUsize::new(0);
@@ -1124,6 +1126,7 @@ impl WorkerPool {
         let mut collected = collected
             .into_inner()
             .expect("for_each result sink poisoned");
+        counters::bump(Counter::Morsels, collected.len() as u64);
         collected.sort_unstable_by_key(|(i, _)| *i);
         collected.into_iter().map(|(_, r)| r).collect()
     }

@@ -151,7 +151,7 @@ impl SpillFile {
 
     /// Flush and close the write handle. Idempotent; reading does not
     /// require it, but operators call it at the end of their write phase
-    /// so buffered bytes hit the disk before the merge/probe phase.
+    /// so buffered bytes hit the disk before the read-back phase.
     pub fn finish(&mut self) -> Result<(), RelationError> {
         if let Some(mut w) = self.writer.take() {
             w.flush().map_err(io_err)?;
@@ -171,8 +171,8 @@ impl SpillFile {
         })
     }
 
-    /// Read the whole file back as one relation (grace-join partitions are
-    /// consumed wholesale; runs of the external sort stream instead).
+    /// Read the whole file back as one relation (every spilled partition
+    /// is consumed wholesale; only grace-join repartitioning streams).
     pub fn read_all(&self, schema: &Schema) -> Result<Relation, RelationError> {
         let mut r = self.reader(schema)?;
         let mut parts = Vec::new();
@@ -214,8 +214,8 @@ pub struct SpillReader {
 
 impl SpillReader {
     /// The next chunk, or `None` after the last. Polls the active guard so
-    /// cancellation during the read-back (merge/probe) phase surfaces
-    /// within one chunk's work.
+    /// cancellation during the read-back phase surfaces within one chunk's
+    /// work.
     pub fn next_chunk(&mut self) -> Result<Option<Relation>, RelationError> {
         if self.chunks_left == 0 {
             return Ok(None);

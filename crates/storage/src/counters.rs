@@ -85,11 +85,13 @@ counters! {
     /// Bytes written to spill files (disk footprint, never charged
     /// against the memory budget).
     SpillBytes => spill_bytes,
-    /// Spill partitions / sorted runs created.
+    /// Spill partitions created.
     SpillPartitions => spill_partitions,
     /// Forced `decode()` sinks: encoded payloads whose plain-form cache a
     /// consumer had to fill (0 = fully compressed execution).
     DecodeSinks => decode_sinks,
+    /// Morsels (pool work items) the query's operators dispatched.
+    Morsels => morsels,
     /// Queries issued.
     Queries => queries,
     /// Rows returned to the client.
@@ -223,7 +225,7 @@ mod tests {
         assert_eq!(s.spill_bytes, 7);
         assert_eq!(s.worker_panics, 2);
         assert_eq!(Counter::DecodeSinks.name(), "decode_sinks");
-        assert_eq!(Counter::ALL.len(), 17);
+        assert_eq!(Counter::ALL.len(), 18);
     }
 
     #[test]
